@@ -15,7 +15,7 @@ from .datasets import (
     CURVE_11A1,
     Dataset,
     DatasetHeader,
-    EigenvalueRecord,
+    Records,
     ec_ap,
     read_csv,
     sato_tate_sample,

@@ -14,7 +14,7 @@ import sys
 
 from . import bounds, density, datasets, poles, repring
 from .assumptions import RepType, TypeAssumption
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 
 def _bool_flag(value: str) -> bool:
@@ -151,7 +151,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     dataset = datasets.read_csv(args.input)
-    s_grid = [float(s) for s in args.s_grid.split(",")]
+    try:
+        s_grid = [float(s) for s in args.s_grid.split(",")]
+    except ValueError:
+        raise ParameterError(f"--s-grid needs numbers, got {args.s_grid!r}") from None
     slope = density.pole_order_probe(dataset.records, args.k, s_grid)
     if args.json:
         print(json.dumps({"k": args.k, "s_grid": s_grid, "slope": slope}))

@@ -1,21 +1,27 @@
 """Generate and ingest normalized Hecke-eigenvalue datasets.
 
-Three generators at desk scale: point counts on a short Weierstrass model,
-the weight-12 level-1 q-expansion through exact integer series arithmetic,
-and a seeded synthetic sampler from the semicircle-squared distribution.
-CSV round-trips carry a one-line '#' header followed by p,a_re,a_im[,a_raw]
-rows.
+Three generators at desk scale, each capped: point counts on a short
+Weierstrass model (p <= EC_X_CAP), the weight-12 level-1 q-expansion through
+exact integer series arithmetic (p <= TAU_X_CAP), and a seeded sampler from
+the semicircle-squared distribution (the first ST_N_CAP primes).  A dataset
+is a header plus `Records`: columns of primes p, unitarily normalized
+eigenvalues a and optional exact integers a_raw, validated once when built.
+CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
+p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
+exact integer on every row or on none.  Other header keys are ignored, except
+that a normalization other than `unitary` is rejected.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
-import io
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,18 +29,48 @@ from .errors import DatasetError, DatasetFormatError, ParameterError, SingularCu
 
 EC_X_CAP = 100_000
 TAU_X_CAP = 10_000
+ST_N_CAP = 100_000
+MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 
 # 11a1 in short Weierstrass form y^2 = x^3 - 27*c4*x - 54*c6 with
 # (c4, c6) = (496, 20008); good away from 2, 3, 11.
 CURVE_11A1 = (-13392, -1080432)
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    p: int
-    a: complex
-    omega_p: complex = 1.0 + 0j
-    a_raw: float | None = None
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Per-prime columns: p (int64, at least 2, strictly increasing), a
+    (complex128, finite) and a_raw (None, or one exact int per prime, since
+    tau(p) exceeds int64 and the float mantissa).  Arrays are read-only."""
+
+    p: np.ndarray
+    a: np.ndarray
+    a_raw: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        p, a = np.array(self.p, dtype=np.int64), np.array(self.a, dtype=np.complex128)
+        raw = None if self.a_raw is None else tuple(self.a_raw)
+        if p.ndim != 1 or a.shape != p.shape or (raw is not None and len(raw) != len(p)):
+            raise DatasetError("record columns must be one-dimensional and of equal length")
+        if len(p) and (p[0] < 2 or np.any(p[1:] <= p[:-1])):
+            raise DatasetError("records must be sorted strictly increasing in p >= 2")
+        if not np.isfinite(a).all():
+            raise DatasetError("eigenvalues must be finite")
+        if raw is not None and not all(isinstance(v, int) for v in raw):
+            raise DatasetError("raw eigenvalues must be exact integers")
+        p.setflags(write=False)
+        a.setflags(write=False)
+        for name, value in (("p", p), ("a", a), ("a_raw", raw)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Records):
+            return NotImplemented
+        same = np.array_equal(self.p, other.p) and np.array_equal(self.a, other.a)
+        return same and self.a_raw == other.a_raw
 
 
 @dataclass(frozen=True)
@@ -42,23 +78,17 @@ class DatasetHeader:
     source: str
     self_dual: bool
     X: int
-    normalization: str = "unitary"
-    omega_trivial: bool = True
 
 
 @dataclass(frozen=True)
 class Dataset:
     header: DatasetHeader
-    records: tuple[EigenvalueRecord, ...]
+    records: Records
 
     def __post_init__(self):
-        last = 1
-        for r in self.records:
-            if r.p <= last:
-                raise DatasetError("records must be sorted strictly increasing in p")
-            if r.p > self.header.X:
-                raise DatasetError(f"record prime {r.p} exceeds header X={self.header.X}")
-            last = r.p
+        top = self.records.p[-1] if len(self.records) else 0
+        if top > self.header.X:
+            raise DatasetError(f"record prime {top} exceeds header X={self.header.X}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,31 +117,6 @@ def first_n_primes(n: int) -> list[int]:
     return ps[:n]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Elliptic curve point counts
 
@@ -137,15 +142,17 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
         raise ParameterError("need X >= 5")
     if X > EC_X_CAP:
         raise ParameterError(f"X = {X} exceeds the point-counting cap {EC_X_CAP}")
-    skipped, records = [], []
+    skipped, ps, a, raw = [], [], [], []
     for p in primes_up_to(X):
         if (2 * disc) % p == 0:
             skipped.append(p)
             continue
         ap = _ec_trace(A, B, p)
-        records.append(EigenvalueRecord(p, complex(ap / math.sqrt(p)), 1.0 + 0j, float(ap)))
+        ps.append(p)
+        a.append(ap / math.sqrt(p))
+        raw.append(ap)
     source = f"ec[a={A};b={B};skipped={';'.join(map(str, skipped))}]"
-    return Dataset(DatasetHeader(source, True, X), tuple(records))
+    return Dataset(DatasetHeader(source, True, X), Records(ps, a, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +224,8 @@ def tau_coefficients(X: int) -> tuple[int, ...]:
 def tau_ap(X: int) -> Dataset:
     """Normalized tau(p)/p^(11/2) for primes p <= X."""
     taus = tau_coefficients(X)
-    records = tuple(
-        EigenvalueRecord(
-            p, complex(taus[p - 1] / p ** 5.5), 1.0 + 0j, float(taus[p - 1])
-        )
-        for p in primes_up_to(X)
-    )
+    ps = primes_up_to(X)
+    records = Records(ps, [taus[p - 1] / p ** 5.5 for p in ps], [taus[p - 1] for p in ps])
     return Dataset(DatasetHeader(f"tau[X={X}]", True, X), records)
 
 
@@ -237,24 +240,22 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     regardless of evaluation order."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    records = []
-    for p in first_n_primes(n):
+    if n > ST_N_CAP:
+        raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
+    ps = first_n_primes(n)
+    a = []
+    for p in ps:
         rng = random.Random(f"{seed}:{p}")
         while True:
             theta = rng.uniform(0.0, math.pi)
             if rng.random() <= math.sin(theta) ** 2:
                 break
-        records.append(EigenvalueRecord(p, complex(2.0 * math.cos(theta))))
-    X = records[-1].p
-    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, X), tuple(records))
+        a.append(2.0 * math.cos(theta))
+    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), Records(ps, a))
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
-
-
-def _format_bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _parse_bool(s: str) -> bool:
@@ -268,23 +269,15 @@ def write_csv(path: str | Path, dataset: Dataset) -> None:
 
 
 def dumps_csv(dataset: Dataset) -> str:
-    h = dataset.header
+    h, r = dataset.header, dataset.records
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
-    buf = io.StringIO()
-    buf.write(
-        f"# source={h.source},self_dual={_format_bool(h.self_dual)},"
-        f"normalization={h.normalization},X={h.X},"
-        f"omega_trivial={_format_bool(h.omega_trivial)}\n"
-    )
-    with_raw = any(r.a_raw is not None for r in dataset.records)
-    for r in dataset.records:
-        row = f"{r.p},{r.a.real!r},{r.a.imag!r}"
-        if with_raw:
-            raw = r.a_raw if r.a_raw is not None else 0.0
-            row += f",{int(raw) if float(raw).is_integer() else raw!r}"
-        buf.write(row + "\n")
-    return buf.getvalue()
+    cols = zip(r.p.tolist(), r.a.real.tolist(), r.a.imag.tolist())
+    rows = [f"{p},{x!r},{y!r}" for p, x, y in cols]
+    if r.a_raw is not None:
+        rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw)]
+    head = f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}"
+    return "\n".join([head, *rows]) + "\n"
 
 
 def read_csv(path: str | Path) -> Dataset:
@@ -301,33 +294,50 @@ def loads_csv(text: str) -> Dataset:
             raise DatasetFormatError(f"malformed header item {item!r}", line=1)
         key, value = item.split("=", 1)
         fields[key.strip()] = value.strip()
+    normalization = fields.get("normalization", "unitary")
+    if normalization != "unitary":
+        raise DatasetFormatError(f"normalization {normalization!r} is not unitary", line=1)
     try:
-        header = DatasetHeader(
-            source=fields["source"],
-            self_dual=_parse_bool(fields["self_dual"]),
-            X=int(fields["X"]),
-            normalization=fields.get("normalization", "unitary"),
-            omega_trivial=_parse_bool(fields.get("omega_trivial", "true")),
-        )
+        X = int(fields["X"])
+        header = DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), X)
     except KeyError as exc:
         raise DatasetFormatError(f"header missing key {exc}", line=1) from None
-    records = []
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc), line=1) from None
+    ps, a, raws = [], [], []
+    width = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) not in (3, 4):
-            raise DatasetFormatError(f"expected 3 or 4 columns, got {len(parts)}", line=lineno)
+        if width is None and len(parts) in (3, 4):
+            width = len(parts)
+        if len(parts) != width:
+            message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
+            raise DatasetFormatError(message, line=lineno)
         try:
-            p = int(parts[0])
-            a = complex(float(parts[1]), float(parts[2]))
-            raw = float(parts[3]) if len(parts) == 4 else None
+            p, z = int(parts[0]), complex(float(parts[1]), float(parts[2]))
+            if width == 4:
+                raws.append(int(parts[3]))
         except ValueError as exc:
             raise DatasetFormatError(str(exc), line=lineno) from None
-        if not is_prime(p):
-            raise DatasetFormatError(f"p = {p} is not prime", line=lineno)
-        records.append(EigenvalueRecord(p, a, 1.0 + 0j, raw))
+        # the range check comes before p sizes an int64 array or a sieve
+        if not 2 <= p <= MAX_P:
+            raise DatasetFormatError(f"p = {p} is outside 2..{MAX_P}", line=lineno)
+        if not cmath.isfinite(z):
+            raise DatasetFormatError(f"eigenvalue at p = {p} is not finite", line=lineno)
+        ps.append(p)
+        a.append(z)
+    p = np.array(ps, dtype=np.int64)
+    primes = primes_up_to(max(ps, default=2))
+    # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
+    composite = np.flatnonzero(~np.isin(p, primes, kind="table"))
+    if len(composite):
+        i = int(composite[0])
+        rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        lineno = next(itertools.islice(rows, i, None))
+        raise DatasetFormatError(f"p = {ps[i]} is not prime", line=lineno)
     try:
-        return Dataset(header, tuple(records))
+        return Dataset(header, Records(p, a, raws if width == 4 else None))
     except DatasetError as exc:
         raise DatasetFormatError(str(exc)) from None

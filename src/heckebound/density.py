@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
-from .datasets import EigenvalueRecord
+from .datasets import Records
 from .errors import DatasetError, ParameterError
 
 #: desk-scale proxy for "infinitely many": at least this fraction of primes
@@ -25,40 +25,27 @@ WITNESS_FRACTION = 0.01
 DEFAULT_EPSILON = 0.01
 
 
-def _require_records(records: Sequence[EigenvalueRecord]) -> None:
-    if not records:
+def _require_records(records: Records) -> None:
+    if not len(records):
         raise DatasetError("empty dataset")
 
 
-def _rotated_real(records: Sequence[EigenvalueRecord], phi: float) -> np.ndarray:
-    rot = cmath.exp(1j * phi)
-    return np.array([(r.a * rot).real for r in records], dtype=float)
-
-
-def _primes(records: Sequence[EigenvalueRecord]) -> np.ndarray:
-    return np.array([r.p for r in records], dtype=float)
-
-
-def operating_point(records: Sequence[EigenvalueRecord]) -> float:
+def operating_point(records: Records) -> float:
     """s = 1 + 1/log X with X the largest prime in the data."""
     _require_records(records)
-    return 1.0 + 1.0 / math.log(records[-1].p)
+    return 1.0 + 1.0 / math.log(records.p[-1])
 
 
-def truncated_sum(
-    records: Sequence[EigenvalueRecord], k: int, s: float, phi: float = 0.0
-) -> float:
+def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float:
     """Sum over the dataset of Re(a_p e^{i phi})^k / p^s."""
     _require_records(records)
     if s <= 1.0:
         raise ParameterError(f"need s > 1, got {s}")
-    vals = _rotated_real(records, phi)
-    return float(np.sum(vals ** k / _primes(records) ** s))
+    vals = (records.a * cmath.exp(1j * phi)).real
+    return float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
 
 
-def normalized_ratio(
-    records: Sequence[EigenvalueRecord], k: int, s: float, phi: float = 0.0
-) -> float:
+def normalized_ratio(records: Records, k: int, s: float, phi: float = 0.0) -> float:
     """truncated_sum divided by log(1/(s-1))."""
     return truncated_sum(records, k, s, phi) / math.log(1.0 / (s - 1.0))
 
@@ -88,7 +75,7 @@ class DensityReport:
 
 
 def density_profile(
-    records: Sequence[EigenvalueRecord], c: float, side: str, phi: float = 0.0
+    records: Records, c: float, side: str, phi: float = 0.0
 ) -> DensityReport:
     """Proportion of primes with Re(a_p e^{i phi}) > c ('above') or < -c
     ('below'), both natural and weighted by p^-s at s = 1 + 1/log X."""
@@ -97,10 +84,10 @@ def density_profile(
         raise ParameterError("threshold must be >= 0")
     if side not in ("above", "below"):
         raise ParameterError(f"side must be 'above' or 'below', got {side!r}")
-    vals = _rotated_real(records, phi)
+    vals = (records.a * cmath.exp(1j * phi)).real
     mask = vals > c if side == "above" else vals < -c
     s = operating_point(records)
-    weights = _primes(records) ** -s
+    weights = np.power(records.p, -s, dtype=float)
     return DensityReport(
         threshold=c,
         side=side,
@@ -109,18 +96,18 @@ def density_profile(
         dirichlet_weighted=float(weights[mask].sum() / weights.sum()),
         count=int(mask.sum()),
         s_used=s,
-        X=records[-1].p,
+        X=int(records.p[-1]),
     )
 
 
-def pole_order_probe(
-    records: Sequence[EigenvalueRecord], k: int, s_grid: Sequence[float]
-) -> float:
+def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float:
     """Least-squares slope of the truncated k-th power sum against
     log(1/(s-1)): an empirical pole-order estimate."""
     _require_records(records)
     if len(s_grid) < 3:
         raise ParameterError("need at least 3 grid points")
+    if not all(math.isfinite(s) for s in s_grid):
+        raise ParameterError("grid points must be finite")
     gaps = sorted(s - 1.0 for s in s_grid)
     if gaps[0] <= 0:
         raise ParameterError("all grid points must exceed 1")
@@ -162,7 +149,7 @@ class TheoremReport:
 
 
 def verify_theorem(
-    records: Sequence[EigenvalueRecord],
+    records: Records,
     theorem: str,
     phi: float = 0.0,
     epsilon: float = DEFAULT_EPSILON,
@@ -175,7 +162,7 @@ def verify_theorem(
         raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     if theorem in ("t1pos", "t1neg") and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
-    vals = _rotated_real(records, phi)
+    vals = (records.a * cmath.exp(1j * phi)).real
     if theorem == "t1pos":
         threshold = bounds.positive_side().constant
         mask = vals > threshold - epsilon
@@ -190,7 +177,7 @@ def verify_theorem(
         extremity = vals
     idx = np.nonzero(mask)[0]
     top = idx[np.argsort(-extremity[idx])][:10]
-    witnesses = tuple((records[i].p, float(vals[i])) for i in top)
+    witnesses = tuple((int(records.p[i]), float(vals[i])) for i in top)
     count = int(mask.sum())
     required = math.floor(WITNESS_FRACTION * len(records))
     return TheoremReport(

@@ -33,10 +33,6 @@ class MonomialExcludedError(PoleError):
     """Pole queries under the dihedral (monomial) assumption are excluded."""
 
 
-class UnknownCuspidalityError(PoleError):
-    """A pairing involves an atom whose cuspidality is not declared."""
-
-
 class ParameterError(DomainError):
     """An argument is outside its documented range."""
 

@@ -227,9 +227,6 @@ class VirtualRep:
     def __rmul__(self, scalar: int) -> "VirtualRep":
         return VirtualRep.from_terms((a, scalar * m) for a, m in self.terms)
 
-    def multiplicity(self, atom: Atom) -> int:
-        return dict(self.terms).get(atom, 0)
-
     def to_json(self) -> list[dict]:
         return [{"atom": atom_text(a), "mult": m} for a, m in self.terms]
 

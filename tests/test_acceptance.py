@@ -21,7 +21,7 @@ from heckebound.assumptions import (
     TypeAssumption,
 )
 from heckebound.bounds import negative_side, non_self_dual, positive_side, positive_side_weak
-from heckebound.datasets import EigenvalueRecord, first_n_primes
+from heckebound.datasets import Records, first_n_primes
 from heckebound.density import density_profile, normalized_ratio, pole_order_probe, verify_theorem
 from heckebound.poles import tensor_power_pole
 from heckebound.repring import (
@@ -112,10 +112,10 @@ def test_criterion_3_symbolic_numeric_equivalence():
 
 def test_criterion_4_dataset_generation(ec_11a1, tau_10k, ec_elapsed):
     assert ec_elapsed < 30.0
-    assert ec_11a1.records[-1].p <= 10_000
-    for r in ec_11a1.records:
-        assert abs(r.a_raw) <= 2 * math.sqrt(r.p)
-    raw = {r.p: r.a_raw for r in tau_10k.records}
+    assert ec_11a1.records.p[-1] <= 10_000
+    for p, raw in zip(ec_11a1.records.p.tolist(), ec_11a1.records.a_raw):
+        assert abs(raw) <= 2 * math.sqrt(p)
+    raw = dict(zip(tau_10k.records.p.tolist(), tau_10k.records.a_raw))
     assert raw[2] == -24
     assert raw[3] == 252
     assert raw[5] == 4830
@@ -153,7 +153,7 @@ def test_criterion_5_empirical_theorem_proxy(ec_11a1):
 
 def test_criterion_6_moment_probes(st_100k):
     records = st_100k.records
-    s = 1.0 + 1.0 / math.log(records[-1].p)
+    s = 1.0 + 1.0 / math.log(records.p[-1])
     slope = pole_order_probe(records, 2, [1.5, 1.3, 1.2, 1.1])
     assert 0.5 <= slope <= 1.5
     ratio4 = normalized_ratio(records, 4, s)
@@ -166,12 +166,10 @@ def test_criterion_6_moment_probes(st_100k):
 def test_criterion_7_rotation_consistency():
     rng = random.Random(99)
     primes = first_n_primes(2000)
-    records = [
-        EigenvalueRecord(p, cmath.rect(rng.uniform(0, 2), rng.uniform(0, 2 * math.pi)))
-        for p in primes
-    ]
+    values = [cmath.rect(rng.uniform(0, 2), rng.uniform(0, 2 * math.pi)) for p in primes]
+    records = Records(primes, values)
     for phi in (0.3, math.pi / 4, 1.9):
-        rotated = [EigenvalueRecord(r.p, r.a * cmath.exp(1j * phi)) for r in records]
+        rotated = Records(primes, [a * cmath.exp(1j * phi) for a in values])
         for c, side in [(0.5, "above"), (0.9, "above"), (1.1, "below")]:
             direct = density_profile(records, c, side, phi=phi)
             pre = density_profile(rotated, c, side, phi=0.0)

@@ -156,3 +156,31 @@ def test_verify_t1neg_on_nsd_dataset_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(path), "--theorem", "t1neg")
     assert code == 1
     assert "self-dual" in err
+
+
+def assert_rejected(code, err):
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["1.5,x,1.1", "1.5,inf,1.1,1.05", "1.5,nan,1.1,1.05"])
+def test_probe_bad_s_grid_exits_one(tmp_path, capsys, grid):
+    path = tmp_path / "small.csv"
+    path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
+    code, _, err = run(capsys, "probe", "--input", str(path), "--k", "2", "--s-grid", grid)
+    assert_rejected(code, err)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_non_finite_row_exits_one(tmp_path, capsys, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# source=x,self_dual=true,X=13\n11,{value},0.0\n13,0.5,0.0\n")
+    code, _, err = run(capsys, "verify", "--input", str(path), "--theorem", "t1pos")
+    assert_rejected(code, err)
+    assert "line 2" in err
+
+
+def test_generate_st_over_cap_exits_one(capsys):
+    code, _, err = run(capsys, "generate", "--kind", "st", "--n", "100001")
+    assert_rejected(code, err)

@@ -2,15 +2,19 @@ import math
 
 import pytest
 
+from heckebound import datasets
 from heckebound.datasets import (
     CURVE_11A1,
+    EC_X_CAP,
+    MAX_P,
+    ST_N_CAP,
+    TAU_X_CAP,
     Dataset,
     DatasetHeader,
-    EigenvalueRecord,
+    Records,
     dumps_csv,
     ec_ap,
     first_n_primes,
-    is_prime,
     loads_csv,
     primes_up_to,
     read_csv,
@@ -40,11 +44,6 @@ def test_first_n_primes():
     assert len(first_n_primes(1000)) == 1000
 
 
-def test_is_prime():
-    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(7919 * 7927)
-
-
 # ---------------------------------------------------------------------------
 # elliptic curve point counts
 
@@ -63,27 +62,28 @@ def brute_force_trace(A, B, p):
 def test_ec_matches_brute_force_small_curve():
     A, B = -2, 3
     data = ec_ap(A, B, 50)
-    for r in data.records:
-        assert r.a_raw == brute_force_trace(A, B, r.p)
+    for p, raw in zip(data.records.p.tolist(), data.records.a_raw):
+        assert raw == brute_force_trace(A, B, p)
 
 
 def test_ec_11a1_known_traces(ec_11a1):
-    raw = {r.p: r.a_raw for r in ec_11a1.records}
+    raw = dict(zip(ec_11a1.records.p.tolist(), ec_11a1.records.a_raw))
     assert raw[5] == 1
     assert raw[7] == -2
     assert raw[13] == 4
 
 
 def test_ec_bad_primes_skipped(ec_11a1):
-    emitted = {r.p for r in ec_11a1.records}
+    emitted = set(ec_11a1.records.p.tolist())
     assert not emitted & {2, 3, 11}
     assert "skipped" in ec_11a1.header.source
 
 
 def test_ec_hasse_bound(ec_11a1):
-    for r in ec_11a1.records:
-        assert abs(r.a_raw) <= 2 * math.sqrt(r.p)
-        assert abs(r.a) <= 2.0 + 1e-12
+    r = ec_11a1.records
+    for p, a, raw in zip(r.p.tolist(), r.a.tolist(), r.a_raw):
+        assert abs(raw) <= 2 * math.sqrt(p)
+        assert abs(a) <= 2.0 + 1e-12
 
 
 def test_ec_singular_curve_rejected():
@@ -94,7 +94,7 @@ def test_ec_singular_curve_rejected():
 
 
 def test_ec_sorted_strictly_increasing(ec_11a1):
-    ps = [r.p for r in ec_11a1.records]
+    ps = ec_11a1.records.p.tolist()
     assert ps == sorted(set(ps))
 
 
@@ -118,12 +118,12 @@ def test_tau_multiplicative_at_six():
 
 
 def test_tau_deligne_bound(tau_10k):
-    for r in tau_10k.records:
-        assert abs(r.a) <= 2.0
+    for a in tau_10k.records.a.tolist():
+        assert abs(a) <= 2.0
 
 
 def test_tau_exceeds_64_bits(tau_10k):
-    assert any(abs(r.a_raw) > 2 ** 63 for r in tau_10k.records)
+    assert any(abs(raw) > 2 ** 63 for raw in tau_10k.records.a_raw)
 
 
 def test_tau_cap_enforced():
@@ -131,12 +131,31 @@ def test_tau_cap_enforced():
         tau_ap(10_001)
 
 
+def test_tau_raw_values_exact(tau_10k):
+    # tau(p) exceeds the 53-bit float mantissa, so raw values must stay ints
+    taus = tau_coefficients(10_000)
+    raw = dict(zip(tau_10k.records.p.tolist(), tau_10k.records.a_raw))
+    assert len(raw) == 1229
+    assert raw[829] == 18045917610367430
+    assert all(value == taus[p - 1] for p, value in raw.items())
+    assert loads_csv(dumps_csv(tau_10k)).records.a_raw == tau_10k.records.a_raw
+
+
+def test_max_p_covers_every_generator_cap():
+    assert MAX_P >= max(EC_X_CAP, TAU_X_CAP, first_n_primes(ST_N_CAP)[-1])
+
+
+def test_sato_tate_cap_enforced():
+    with pytest.raises(ParameterError):
+        sato_tate_sample(ST_N_CAP + 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # synthetic sampler
 
 
 def test_sato_tate_moments(st_100k):
-    a = [r.a.real for r in st_100k.records]
+    a = st_100k.records.a.real.tolist()
     n = len(a)
     assert sum(a) / n == pytest.approx(0.0, abs=0.02)
     assert sum(v * v for v in a) / n == pytest.approx(1.0, abs=0.02)
@@ -152,12 +171,12 @@ def test_sato_tate_deterministic():
 def test_sato_tate_prefix_stable():
     # per-record seeding: a longer run reproduces the shorter one exactly
     short = sato_tate_sample(50, 7).records
-    long = sato_tate_sample(100, 7).records[:50]
-    assert short == long
+    long = sato_tate_sample(100, 7).records
+    assert short == Records(long.p[:50], long.a[:50])
 
 
 def test_sato_tate_kolmogorov_smirnov(st_100k):
-    thetas = sorted(math.acos(max(-1.0, min(1.0, r.a.real / 2))) for r in st_100k.records)
+    thetas = sorted(math.acos(max(-1.0, min(1.0, a / 2))) for a in st_100k.records.a.real.tolist())
     n = len(thetas)
     worst = 0.0
     for i, theta in enumerate(thetas):
@@ -167,7 +186,7 @@ def test_sato_tate_kolmogorov_smirnov(st_100k):
 
 
 def test_sato_tate_bounds(st_100k):
-    assert all(-2 <= r.a.real <= 2 for r in st_100k.records)
+    assert all(-2 <= a <= 2 for a in st_100k.records.a.real.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +199,21 @@ def test_round_trip(tmp_path, ec_11a1):
     back = read_csv(path)
     assert back.header == ec_11a1.header
     assert len(back.records) == len(ec_11a1.records)
-    for got, want in zip(back.records, ec_11a1.records):
-        assert got.p == want.p
-        assert got.a == want.a
-        assert got.a_raw == want.a_raw
+    got, want = back.records, ec_11a1.records
+    assert got.p.tolist() == want.p.tolist()
+    assert got.a.tolist() == want.a.tolist()
+    assert got.a_raw == want.a_raw
 
 
 def test_round_trip_empty():
-    data = Dataset(DatasetHeader("empty", True, 10), ())
+    data = Dataset(DatasetHeader("empty", True, 10), Records([], []))
     assert loads_csv(dumps_csv(data)) == data
 
 
 def test_simple_row_parses():
     data = loads_csv("# source=x,self_dual=true,normalization=unitary,X=10,omega_trivial=true\n5,0.447213,0.0\n")
-    assert data.records[0].p == 5
-    assert data.records[0].a == pytest.approx(0.447213)
+    assert data.records.p[0] == 5
+    assert data.records.a[0] == pytest.approx(0.447213)
 
 
 def test_non_prime_row_rejected():
@@ -214,9 +233,79 @@ def test_missing_header_rejected():
         loads_csv("5,0.1,0.0\n")
 
 
+@pytest.mark.parametrize(
+    "p, a, a_raw",
+    [
+        ([2, 3], [0.1], None),  # ragged columns
+        ([2, 3], [0.1, 0.2], [1]),
+        ([1, 3], [0.1, 0.2], None),  # p below 2
+        ([2, 3], [0.1, math.nan], None),
+        ([2, 3], [math.inf, 0.2], None),
+        ([2, 3], [0.1, 0.2], [1, 2.0]),  # raw values must be exact ints
+        ([2, 3], [0.1, 0.2], [1, None]),
+    ],
+)
+def test_records_validated_on_construction(p, a, a_raw):
+    with pytest.raises(DatasetError):
+        Records(p, a, a_raw)
+
+
+def test_records_are_read_only():
+    records = Records([2, 3], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        records.a[0] = 5.0
+
+
+def test_header_line_keys():
+    data = Dataset(DatasetHeader("x", False, 10), Records([2], [0.5]))
+    assert dumps_csv(data).splitlines()[0] == "# source=x,self_dual=false,X=10"
+
+
+def test_composite_row_after_blank_line_names_its_line():
+    text = "# source=x,self_dual=true,X=10\n5,0.1,0.0\n\n9,0.2,0.0\n"
+    with pytest.raises(DatasetFormatError, match="line 4"):
+        loads_csv(text)
+
+
+def test_non_integer_header_x_rejected():
+    with pytest.raises(DatasetFormatError, match="line 1"):
+        loads_csv("# source=x,self_dual=true,X=ten\n5,0.1,0.0\n")
+
+
+def test_non_unitary_normalization_rejected():
+    with pytest.raises(DatasetFormatError, match="line 1"):
+        loads_csv("# source=x,self_dual=true,normalization=arithmetic,X=10\n5,0.1,0.0\n")
+
+
+@pytest.mark.parametrize("row", ["5,nan,0.0", "5,0.1,inf", "5,-inf,0.0"])
+def test_non_finite_row_rejected(row):
+    text = f"# source=x,self_dual=true,X=10\n3,0.1,0.0\n{row}\n"
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        loads_csv(text)
+
+
+def test_non_integer_raw_rejected():
+    text = "# source=x,self_dual=true,X=10\n2,0.1,0.0,-24\n3,0.2,0.0,252.5\n"
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        loads_csv(text)
+
+
+def test_partial_raw_column_rejected():
+    text = "# source=x,self_dual=true,X=10\n2,0.1,0.0,-24\n3,0.2,0.0\n"
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        loads_csv(text)
+
+
+def test_prime_above_max_p_rejected_before_sieve(monkeypatch):
+    def no_sieve(x):
+        raise AssertionError(f"sieve up to {x} requested")
+
+    monkeypatch.setattr(datasets, "primes_up_to", no_sieve)
+    text = f"# source=x,self_dual=true,X={2 ** 61}\n5,0.1,0.0\n{2 ** 61 - 1},0.2,0.0\n"
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        loads_csv(text)
+
+
 def test_unsorted_records_rejected():
     with pytest.raises(DatasetError):
-        Dataset(
-            DatasetHeader("x", True, 10),
-            (EigenvalueRecord(5, 0.1), EigenvalueRecord(3, 0.2)),
-        )
+        Dataset(DatasetHeader("x", True, 10), Records([5, 3], [0.1, 0.2]))

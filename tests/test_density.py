@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from heckebound.datasets import EigenvalueRecord, first_n_primes
+from heckebound.datasets import Records, first_n_primes
 from heckebound.density import (
     density_profile,
     normalized_ratio,
@@ -16,20 +16,21 @@ from heckebound.errors import DatasetError, ParameterError
 
 
 def constant_records(value, n=1000):
-    return [EigenvalueRecord(p, complex(value)) for p in first_n_primes(n)]
+    ps = first_n_primes(n)
+    return Records(ps, [complex(value)] * len(ps))
 
 
 def test_truncated_sum_matches_naive():
-    records = [EigenvalueRecord(2, 1.5), EigenvalueRecord(3, -0.5), EigenvalueRecord(5, 0.25)]
+    records = Records([2, 3, 5], [1.5, -0.5, 0.25])
     expected = 1.5 ** 2 / 2 ** 1.2 + 0.25 / 3 ** 1.2 + 0.0625 / 5 ** 1.2
     assert truncated_sum(records, 2, 1.2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_truncated_sum_rotation():
-    records = [EigenvalueRecord(p, 0.7j) for p in (2, 3, 5, 7)]
+    records = Records([2, 3, 5, 7], [0.7j] * 4)
     # rotating by -pi/2 turns 0.7j into 0.7 on the real axis
     rotated = truncated_sum(records, 1, 1.3, phi=-math.pi / 2)
-    plain = truncated_sum([EigenvalueRecord(p, 0.7) for p in (2, 3, 5, 7)], 1, 1.3)
+    plain = truncated_sum(Records([2, 3, 5, 7], [0.7] * 4), 1, 1.3)
     assert rotated == pytest.approx(plain, rel=1e-12)
 
 
@@ -43,14 +44,14 @@ def test_truncated_sum_rejects_s_at_or_below_one():
 
 def test_empty_dataset_rejected():
     with pytest.raises(DatasetError):
-        truncated_sum([], 2, 1.2)
+        truncated_sum(Records([], []), 2, 1.2)
     with pytest.raises(DatasetError):
-        density_profile([], 0.9, "above")
+        density_profile(Records([], []), 0.9, "above")
 
 
 def test_operating_point():
     records = constant_records(1.0, 100)
-    X = records[-1].p
+    X = records.p[-1]
     assert operating_point(records) == pytest.approx(1 + 1 / math.log(X))
 
 
@@ -64,7 +65,8 @@ def test_normalized_ratio_scaling():
 
 def test_density_profile_zero_threshold_partition():
     # with c = 0 and no zero values, above + below account for every prime
-    records = [EigenvalueRecord(p, 1.0 if p % 4 == 1 else -1.0) for p in first_n_primes(200)]
+    ps = first_n_primes(200)
+    records = Records(ps, [1.0 if p % 4 == 1 else -1.0 for p in ps])
     above = density_profile(records, 0.0, "above")
     below = density_profile(records, 0.0, "below")
     assert above.count + below.count == len(records)
@@ -78,7 +80,7 @@ def test_density_profile_counts():
     assert report.count == 100
     assert report.natural_proportion == 1.0
     assert density_profile(records, 0.9, "below").count == 0
-    assert report.X == records[-1].p
+    assert report.X == records.p[-1]
 
 
 def test_density_profile_rejects_bad_args():
@@ -110,7 +112,8 @@ def test_probe_slope_grows_with_truncation():
 
 
 def test_probe_odd_power_of_symmetric_data_is_flat():
-    records = [EigenvalueRecord(p, 1.0 if i % 2 else -1.0) for i, p in enumerate(first_n_primes(5000))]
+    ps = first_n_primes(5000)
+    records = Records(ps, [1.0 if i % 2 else -1.0 for i in range(len(ps))])
     slope = pole_order_probe(records, 1, [1.5, 1.3, 1.2, 1.1])
     assert abs(slope) < 0.1
 
@@ -123,6 +126,9 @@ def test_probe_grid_validation():
         pole_order_probe(records, 2, [1.2, 1.15, 1.1])  # span below factor 4
     with pytest.raises(ParameterError):
         pole_order_probe(records, 2, [1.5, 1.2, 0.9])  # point at or below 1
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            pole_order_probe(records, 2, [1.5, bad, 1.1, 1.05])  # non-finite point
 
 
 def test_verify_t1pos_passes_on_large_data():
@@ -154,7 +160,8 @@ def test_verify_t1neg_threshold_and_sign():
 def test_verify_t2_rotation():
     phi = math.pi / 3
     value = 0.8 * cmath.exp(-1j * phi)
-    records = [EigenvalueRecord(p, value) for p in first_n_primes(500)]
+    ps = first_n_primes(500)
+    records = Records(ps, [value] * len(ps))
     report = verify_theorem(records, "t2", phi=phi, self_dual=False)
     assert report.passed
     assert report.threshold == 0.5
@@ -184,7 +191,8 @@ def test_verify_required_is_one_percent():
 
 
 def test_verify_witnesses_sorted_by_extremity():
-    records = [EigenvalueRecord(p, 2.0 - i * 1e-4) for i, p in enumerate(first_n_primes(100))]
+    ps = first_n_primes(100)
+    records = Records(ps, [2.0 - i * 1e-4 for i in range(len(ps))])
     report = verify_theorem(records, "t1pos")
     values = [v for _, v in report.witnesses]
     assert values == sorted(values, reverse=True)
