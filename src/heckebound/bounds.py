@@ -28,6 +28,14 @@ class BoundResult:
     branch_values: tuple[float, float]
     trace: str
 
+    def to_json(self) -> dict:
+        return {
+            "constant": self.constant,
+            "optimizer": self.optimizer,
+            "branch_values": list(self.branch_values),
+            "trace": self.trace,
+        }
+
 
 def holder_branch(d: float, pole8: float = 14.0) -> float:
     """Increasing branch (d^5 / pole8)^(1/12) from the eighth-power bound."""

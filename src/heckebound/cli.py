@@ -1,15 +1,15 @@
 """Command line entry point.
 
-Subcommands: decompose, poles, bounds, generate, verify, probe.  Every
-subcommand has a --json mode with a stable schema.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+Subcommands: decompose, poles, bounds, generate, verify, probe.  generate
+writes CSV; every other subcommand prints through one helper, as text or,
+under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds, density, datasets, poles, repring
@@ -26,12 +26,10 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
-def _render_rep(v: repring.VirtualRep) -> str:
-    parts = []
-    for atom, mult in v.items():
-        label = repring.atom_label(atom)
-        parts.append(label if mult == 1 else f"{mult}·{label}")
-    return " ⊕ ".join(parts) if parts else "0"
+def _emit(args, payload, *lines: str) -> int:
+    """Print the JSON payload under --json, else the text lines."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0
 
 
 def _assumption_from_args(args) -> TypeAssumption:
@@ -55,30 +53,21 @@ def _cmd_decompose(args) -> int:
         title = f"reduce({repring.atom_label(atom)}, {assumption.rep_type.value})"
     else:
         raise DomainError("decompose needs one of --k, --pair, --atom")
-    if args.json:
-        print(json.dumps(rep.to_json()))
-    else:
-        print(f"{title} = {_render_rep(rep)}")
-    return 0
+    return _emit(args, rep.to_json(), f"{title} = {repring.rep_label(rep)}")
 
 
 def _cmd_poles(args) -> int:
     assumption = _assumption_from_args(args)
     cert = poles.tensor_power_pole(args.k, assumption)
-    if args.json:
-        payload = cert.to_json()
-        payload["k"] = args.k
-        print(json.dumps(payload))
-    else:
-        print(
-            f"k={args.k} type={assumption.rep_type.value} "
-            f"self_dual={assumption.self_dual} omega_order={assumption.omega_order}"
-        )
-        print(poles.certificate_render(cert))
-        if cert.note:
-            print(f"note: {cert.note}")
-        print(f"pole order at s=1: {cert.total_order}")
-    return 0
+    return _emit(
+        args,
+        {**cert.to_json(), "k": args.k},
+        f"k={args.k} type={assumption.rep_type.value} "
+        f"self_dual={assumption.self_dual} omega_order={assumption.omega_order}",
+        poles.certificate_render(cert),
+        *([f"note: {cert.note}"] if cert.note else []),
+        f"pole order at s=1: {cert.total_order}",
+    )
 
 
 def _cmd_bounds(args) -> int:
@@ -90,24 +79,13 @@ def _cmd_bounds(args) -> int:
         result = bounds.positive_side_weak()
     else:
         result = bounds.non_self_dual(args.phi)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "side": args.side,
-                    "constant": result.constant,
-                    "optimizer": result.optimizer,
-                    "branch_values": list(result.branch_values),
-                    "trace": result.trace,
-                }
-            )
-        )
-    else:
-        print(f"constant: {result.constant:.10f}")
-        if result.optimizer is not None:
-            print(f"optimizer: {result.optimizer:.10f}")
-        print(f"trace: {result.trace}")
-    return 0
+    return _emit(
+        args,
+        {"side": args.side, **result.to_json()},
+        f"constant: {result.constant:.10f}",
+        *([f"optimizer: {result.optimizer:.10f}"] if result.optimizer is not None else []),
+        f"trace: {result.trace}",
+    )
 
 
 def _cmd_generate(args) -> int:
@@ -136,17 +114,14 @@ def _cmd_verify(args) -> int:
         epsilon=args.eps,
         self_dual=dataset.header.self_dual,
     )
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(
-            f"{report.theorem}: threshold {report.threshold:+.4f}, eps {report.epsilon}, "
-            f"witnesses {report.count}/{report.total} (required {report.required})"
-        )
-        for p, value in report.witnesses:
-            print(f"  p={p}  value={value:+.6f}")
-        print("PASS" if report.passed else "FAIL")
-    return 0
+    return _emit(
+        args,
+        report.to_json(),
+        f"{report.theorem}: threshold {report.threshold:+.4f}, eps {report.epsilon}, "
+        f"witnesses {report.count}/{report.total} (required {report.required})",
+        *(f"  p={p}  value={value:+.6f}" for p, value in report.witnesses),
+        "PASS" if report.passed else "FAIL",
+    )
 
 
 def _cmd_probe(args) -> int:
@@ -156,11 +131,11 @@ def _cmd_probe(args) -> int:
     except ValueError:
         raise ParameterError(f"--s-grid needs numbers, got {args.s_grid!r}") from None
     slope = density.pole_order_probe(dataset.records, args.k, s_grid)
-    if args.json:
-        print(json.dumps({"k": args.k, "s_grid": s_grid, "slope": slope}))
-    else:
-        print(f"empirical pole order (k={args.k}): {slope:.4f}")
-    return 0
+    return _emit(
+        args,
+        {"k": args.k, "s_grid": s_grid, "slope": slope},
+        f"empirical pole order (k={args.k}): {slope:.4f}",
+    )
 
 
 def _add_assumption_flags(sub) -> None:
@@ -182,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("decompose", help="tensor/symmetric power decompositions")
-    p.add_argument("--k", type=int, help="decompose the k-th tensor power (1..4)")
-    p.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="Sym^A x Sym^B")
-    p.add_argument("--atom", type=str, help="reduce one atom, e.g. 'Sym3(pi)*w^-1'")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--k", type=int, help="decompose the k-th tensor power (1..4)")
+    target.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="Sym^A x Sym^B")
+    target.add_argument("--atom", type=str, help="reduce one atom, e.g. 'Sym3(pi)*w^-1'")
     _add_assumption_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decompose)

@@ -104,6 +104,8 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     """Least-squares slope of the truncated k-th power sum against
     log(1/(s-1)): an empirical pole-order estimate."""
     _require_records(records)
+    if k < 0:
+        raise ParameterError(f"need k >= 0, got {k}")
     if len(s_grid) < 3:
         raise ParameterError("need at least 3 grid points")
     if not all(math.isfinite(s) for s in s_grid):
@@ -114,9 +116,12 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     if gaps[-1] / gaps[0] < 4.0:
         raise ParameterError("grid must span at least a factor of 4 in s - 1")
     x = np.array([math.log(1.0 / (s - 1.0)) for s in s_grid])
-    y = np.array([truncated_sum(records, k, s) for s in s_grid])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.array([truncated_sum(records, k, s) for s in s_grid])
+        slope = float(np.polyfit(x, y, 1)[0]) if np.isfinite(y).all() else math.nan
+    if not math.isfinite(slope):
+        raise ParameterError(f"the k={k} power sums overflow a double; no finite slope")
+    return slope
 
 
 THEOREMS = ("t1pos", "t1neg", "t2")
@@ -160,6 +165,10 @@ def verify_theorem(
     _require_records(records)
     if theorem not in THEOREMS:
         raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if theorem in ("t1pos", "t1neg") and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
     vals = (records.a * cmath.exp(1j * phi)).real

@@ -2,29 +2,30 @@
 
 All identities are for partial L-functions (finitely many Euler factors at
 ramified/archimedean places never change the pole order at s=1, so the bad
-set is not modeled).  Isomorphism testing is purely symbolic over canonical
-forms plus the declared reduction relations.
+set is not modeled).  One rule decides every factor, the Rankin-Selberg
+criterion (Jacquet-Shalika): L(s, x × y) has a pole at s=1 exactly when y
+is isomorphic to the dual of x, and a standard factor L(s, x) = L(s, x × 1)
+exactly when x is trivial.  Isomorphism is equality of fully reduced
+canonical atoms (repring.dual, reduce_rep) with w-powers taken modulo the
+order of the central character.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .assumptions import RepType, TypeAssumption
 from .errors import MonomialExcludedError, PoleError, UnsupportedDegreeError
-from . import repring
 from .repring import (
     KIND_CHAR,
-    KIND_OPAQUE,
-    KIND_SYM,
     PI,
     Atom,
     VirtualRep,
     atom_label,
-    aux_inverse,
+    atom_text,
     char,
-    opaque_info,
+    dual,
     reduce_rep,
     tensor_power,
 )
@@ -47,8 +48,8 @@ class CertFactor:
 
     def to_json(self) -> dict:
         return {
-            "left": repring.atom_text(self.left),
-            "right": repring.atom_text(self.right) if self.right is not None else None,
+            "left": atom_text(self.left),
+            "right": atom_text(self.right) if self.right is not None else None,
             "mult": self.multiplicity,
             "pole": self.pole_contrib,
         }
@@ -83,38 +84,21 @@ def _check_assumption(t: TypeAssumption) -> None:
         )
 
 
-def _char_is_trivial(a: Atom, t: TypeAssumption) -> bool:
-    return a.kind == KIND_CHAR and a.omega_power % t.omega_order == 0 and not a.aux
+TRIVIAL = char(0)
 
 
-def _is_dual_pair(x: Atom, y: Atom, t: TypeAssumption) -> bool:
-    """Is y isomorphic to the dual of x, under the assumption's relations?
+def _mod_omega(a: Atom, t: TypeAssumption) -> Atom:
+    return Atom(a.kind, a.sym_degree, a.omega_power % t.omega_order, a.aux, a.opaque_label)
 
-    Both atoms are cuspidal and already fully reduced; beyond the declared
-    reductions there are no self-twists, so isomorphism comes down to equal
-    bases and cancelling character twists.
+
+def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
+    """1 if L(s, x × y) has a pole at s=1, i.e. y is isomorphic to dual(x).
+
+    Both atoms are fully reduced; beyond the declared reductions there are
+    no self-twists, so isomorphism is equality once w-powers are reduced
+    modulo the order of the central character.
     """
-    if x.kind != y.kind:
-        return False
-    residual_omega = x.omega_power + y.omega_power
-    residual_aux = repring._canonical_aux(tuple(x.aux) + tuple(y.aux))
-    if x.kind == KIND_SYM:
-        if x.sym_degree != y.sym_degree:
-            return False
-        residual_omega += x.sym_degree
-    else:
-        if opaque_info(x.opaque_label).dual_label != y.opaque_label:
-            return False
-    return residual_omega % t.omega_order == 0 and not residual_aux
-
-
-def _pair_pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
-    if x.kind == KIND_CHAR and y.kind == KIND_CHAR:
-        product = char(x.omega_power + y.omega_power, tuple(x.aux) + tuple(y.aux))
-        return 1 if _char_is_trivial(product, t) else 0
-    if x.kind == KIND_CHAR or y.kind == KIND_CHAR:
-        return 0  # standard L-function of a cuspidal GL(m>=2) object
-    return 1 if _is_dual_pair(x, y, t) else 0
+    return int(_mod_omega(dual(x), t) == _mod_omega(y, t))
 
 
 def _fold_pair(x: Atom, y: Atom) -> tuple[Atom, Atom | None]:
@@ -146,7 +130,7 @@ def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertif
     for x, mx in A.items():
         for y, my in B.items():
             folded = _fold_pair(x, y)
-            pole = _pair_pole(x, y, t)
+            pole = _pole(x, y, t)
             entry = acc.setdefault(folded, [0, pole])
             if entry[1] != pole:
                 raise PoleError(f"inconsistent pole contribution for factor {folded}")
@@ -166,13 +150,12 @@ def std_pole_order(A: VirtualRep, t: TypeAssumption) -> PoleCertificate:
     contribute a simple pole, everything cuspidal contributes nothing."""
     _check_assumption(t)
     A = reduce_rep(A, t)
-    factors = []
-    for atom, mult in A.items():
-        if atom.kind == KIND_OPAQUE:
-            opaque_info(atom.opaque_label)
-        pole = 1 if _char_is_trivial(atom, t) else 0
-        factors.append(CertFactor(atom, None, mult, pole))
-    factors = tuple(sorted(factors, key=_factor_sort_key))
+    factors = tuple(
+        sorted(
+            (CertFactor(atom, None, mult, _pole(atom, TRIVIAL, t)) for atom, mult in A.items()),
+            key=_factor_sort_key,
+        )
+    )
     total = sum(f.multiplicity * f.pole_contrib for f in factors)
     return PoleCertificate(factors, total, t)
 

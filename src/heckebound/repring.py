@@ -1,10 +1,14 @@
 """Symbolic algebra of GL(2) tensor/symmetric powers with numeric evaluation.
 
-Atoms are irreducible pieces (Sym^k of the standard 2-dim object, GL(1)
-characters built from the central character w and auxiliary finite-order
-symbols, or opaque cuspidal labels).  VirtualRep is a formal integer
-combination of atoms.  All values are immutable; every operation is a pure
-function, so the module is safe for unrestricted parallel use.
+Atoms are irreducible pieces: Sym^k of the standard 2-dim object, GL(1)
+characters built from the central character w and the auxiliary order-3
+character mu, or the opaque cuspidal labels pi_chi and its dual pi_chi_bar.
+VirtualRep is a formal integer combination of atoms.  The vocabulary is
+fixed in read-only tables (AUX_ORDERS, OPAQUE_DUALS), so the module holds
+no mutable state; all values are immutable and every operation is a pure
+function, so the module is safe for unrestricted parallel use.  `dual` is
+the contragredient the pole ledger's one rule rests on; atom_text is the
+parseable rendering, atom_label and rep_label the display forms.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .assumptions import RepType, TypeAssumption
@@ -31,63 +36,32 @@ KIND_OPAQUE = "OpaqueCuspidal"
 RAMANUJAN_EXPONENT = 7 / 64
 
 # ---------------------------------------------------------------------------
-# Symbol registries.  The auxiliary character group and opaque cuspidal
-# labels are declared up front; unknown symbols are rejected, never created
-# silently.
+# Symbol tables.  The vocabulary is fixed: mu, an auxiliary character of
+# order three (tetrahedral case), and the monomial representation attached
+# to the octahedral case, paired with an explicitly distinct dual label.
+# Opaque labels all stand for 2-dimensional objects.  Unknown symbols are
+# rejected, never created.
 
-_aux_orders: dict[str, int] = {}
-
-
-def register_aux_symbol(name: str, order: int) -> None:
-    if order < 1:
-        raise AlgebraError(f"character order must be >= 1, got {order}")
-    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name) or name in ("w", "pi"):
-        raise AlgebraError(f"invalid aux symbol name {name!r}")
-    existing = _aux_orders.get(name)
-    if existing is not None and existing != order:
-        raise AlgebraError(f"symbol {name!r} already registered with order {existing}")
-    _aux_orders[name] = order
+AUX_ORDERS: Mapping[str, int] = MappingProxyType({"mu": 3})
+OPAQUE_DUALS: Mapping[str, str] = MappingProxyType(
+    {"pi_chi": "pi_chi_bar", "pi_chi_bar": "pi_chi"}
+)
+OPAQUE_DIM = 2
+MONOMIAL_LABEL = "pi_chi"
 
 
 def aux_order(name: str) -> int:
     try:
-        return _aux_orders[name]
+        return AUX_ORDERS[name]
     except KeyError:
         raise AlgebraError(f"unknown aux character symbol {name!r}") from None
 
 
-@dataclass(frozen=True)
-class OpaqueInfo:
-    label: str
-    dim: int
-    dual_label: str
-
-
-_opaque_reps: dict[str, OpaqueInfo] = {}
-
-
-def register_opaque(label: str, dim: int = 2, dual: str | None = None) -> None:
-    """Declare an opaque cuspidal label.  dual=None declares it self-dual."""
-    dual = dual if dual is not None else label
-    _opaque_reps[label] = OpaqueInfo(label, dim, dual)
-    if dual != label:
-        _opaque_reps.setdefault(dual, OpaqueInfo(dual, dim, label))
-
-
-def opaque_info(label: str) -> OpaqueInfo:
+def opaque_dual(label: str) -> str:
     try:
-        return _opaque_reps[label]
+        return OPAQUE_DUALS[label]
     except KeyError:
         raise AlgebraError(f"unknown opaque cuspidal label {label!r}") from None
-
-
-# Default session declarations: mu of order three (tetrahedral case) and the
-# monomial representation attached to the octahedral case, paired with an
-# explicitly distinct dual label.
-register_aux_symbol("mu", 3)
-register_opaque("pi_chi", dim=2, dual="pi_chi_bar")
-
-MONOMIAL_LABEL = "pi_chi"
 
 
 def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -122,7 +96,7 @@ class Atom:
             if self.sym_degree:
                 raise AlgebraError("Gl1Char atoms carry no sym_degree")
         elif self.kind == KIND_OPAQUE:
-            opaque_info(self.opaque_label)
+            opaque_dual(self.opaque_label)
         else:
             raise AlgebraError(f"unknown atom kind {self.kind!r}")
 
@@ -132,12 +106,7 @@ class Atom:
             return self.sym_degree + 1
         if self.kind == KIND_CHAR:
             return 1
-        return opaque_info(self.opaque_label).dim
-
-    @property
-    def is_cuspidal_gl2plus(self) -> bool:
-        """True for atoms standing for cuspidal objects on GL(m), m >= 2."""
-        return self.kind != KIND_CHAR
+        return OPAQUE_DIM
 
     def twist(self, omega_delta: int = 0, aux: Iterable[tuple[str, int]] = ()) -> "Atom":
         return Atom(
@@ -180,14 +149,12 @@ def aux_inverse(aux: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]
 
 def dual(a: Atom) -> Atom:
     """Contragredient: Sym^k picks up w^-k, characters invert, opaque labels
-    go to their declared dual partner."""
+    go to their dual partner in OPAQUE_DUALS."""
     if a.kind == KIND_SYM:
         return Atom(KIND_SYM, a.sym_degree, -a.sym_degree - a.omega_power, aux_inverse(a.aux))
     if a.kind == KIND_CHAR:
         return Atom(KIND_CHAR, 0, -a.omega_power, aux_inverse(a.aux))
-    return Atom(
-        KIND_OPAQUE, 0, -a.omega_power, aux_inverse(a.aux), opaque_info(a.opaque_label).dual_label
-    )
+    return Atom(KIND_OPAQUE, 0, -a.omega_power, aux_inverse(a.aux), opaque_dual(a.opaque_label))
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +376,25 @@ _SYM_RE = re.compile(r"Sym(\d+)\(pi\)$")
 _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
+def _twists(a: Atom) -> list[str]:
+    """The character twists of an atom, e.g. ['w^-1', 'mu^2']."""
+    powers = ((("w", a.omega_power),) if a.omega_power else ()) + a.aux
+    return [name if exp == 1 else f"{name}^{exp}" for name, exp in powers]
+
+
 def atom_text(a: Atom) -> str:
     """Parseable rendering, inverse of parse_atom."""
-    parts: list[str] = []
+    parts = _twists(a)
     if a.kind == KIND_SYM:
-        parts.append("pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}(pi)")
+        parts.insert(0, "pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}(pi)")
     elif a.kind == KIND_OPAQUE:
-        parts.append(f"opaque:{a.opaque_label}")
-    if a.omega_power:
-        parts.append("w" if a.omega_power == 1 else f"w^{a.omega_power}")
-    for name, exp in a.aux:
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+        parts.insert(0, f"opaque:{a.opaque_label}")
     return "*".join(parts) if parts else "1"
 
 
 def atom_label(a: Atom) -> str:
     """Human-oriented rendering used in certificates, e.g. 'Sym3', 'pi⊗w'."""
-    twists: list[str] = []
-    if a.omega_power:
-        twists.append("w" if a.omega_power == 1 else f"w^{a.omega_power}")
-    for name, exp in a.aux:
-        twists.append(name if exp == 1 else f"{name}^{exp}")
+    twists = _twists(a)
     if a.kind == KIND_CHAR:
         return "*".join(twists) if twists else "1"
     base = (
@@ -438,6 +403,13 @@ def atom_label(a: Atom) -> str:
         else a.opaque_label
     )
     return "⊗".join([base] + twists)
+
+
+def rep_label(v: VirtualRep) -> str:
+    """Human-oriented rendering of a virtual representation, e.g.
+    'Sym3 ⊕ 2·pi⊗w'."""
+    parts = [atom_label(a) if m == 1 else f"{m}·{atom_label(a)}" for a, m in v.items()]
+    return " ⊕ ".join(parts) if parts else "0"
 
 
 def parse_atom(text: str) -> Atom:
@@ -461,7 +433,7 @@ def parse_atom(text: str) -> Atom:
             if kind != KIND_CHAR:
                 raise AlgebraError(f"more than one base object in {text!r}")
             kind, label = KIND_OPAQUE, factor[len("opaque:"):]
-            opaque_info(label)
+            opaque_dual(label)
             continue
         m = _FACTOR_RE.match(factor)
         if not m:

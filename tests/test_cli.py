@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    """poles/bounds/decompose print exactly the pinned bytes, text and --json."""
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_poles_table_text(capsys):
@@ -184,3 +195,32 @@ def test_verify_non_finite_row_exits_one(tmp_path, capsys, value):
 def test_generate_st_over_cap_exits_one(capsys):
     code, _, err = run(capsys, "generate", "--kind", "st", "--n", "100001")
     assert_rejected(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "t1pos", "--phi", "inf"],
+        ["verify", "--theorem", "t1neg", "--phi", "nan"],
+        ["verify", "--theorem", "t2", "--phi", "nan"],
+        ["verify", "--theorem", "t1pos", "--eps", "nan"],
+        ["verify", "--theorem", "t1pos", "--eps", "inf"],
+        ["verify", "--theorem", "t1pos", "--eps", "-0.5"],
+        ["probe", "--k", "100000"],
+        ["probe", "--k", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_argv_numbers_exit_one(tmp_path, capsys, argv):
+    path = tmp_path / "small.csv"
+    path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert_rejected(code, err)
+    assert out == ""
+
+
+def test_decompose_conflicting_selectors_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--k", "2", "--pair", "1", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err

@@ -10,6 +10,8 @@ from heckebound.assumptions import (
     GENERAL_SELF_DUAL,
     OCTAHEDRAL_SELF_DUAL,
     TETRAHEDRAL_SELF_DUAL,
+    RepType,
+    TypeAssumption,
 )
 from heckebound.errors import (
     AlgebraError,
@@ -17,6 +19,7 @@ from heckebound.errors import (
     UnsupportedDegreeError,
     UnsupportedReductionError,
 )
+from heckebound.poles import rs_pole_order
 from heckebound.repring import (
     MU,
     MU2,
@@ -158,6 +161,55 @@ def test_dual_aux_inverts():
 def test_dual_opaque_partner():
     assert dual(opaque("pi_chi")).opaque_label == "pi_chi_bar"
     assert dual(dual(opaque("pi_chi"))) == opaque("pi_chi")
+
+
+# any base atom (Sym^1..Sym^4, the trivial character, both opaque labels)
+# under any w and mu twist; degrees stop at 4 so every type can reduce them
+bases = st.one_of(
+    st.integers(1, 4).map(sym),
+    st.just(char(0)),
+    st.sampled_from(["pi_chi", "pi_chi_bar"]).map(opaque),
+)
+atoms = st.builds(
+    lambda base, w, e: base.twist(w, (("mu", e),)), bases, st.integers(-12, 12), st.integers(-5, 5)
+)
+non_dihedral = (RepType.GENERAL, RepType.TETRAHEDRAL, RepType.OCTAHEDRAL)
+assumptions = st.sampled_from(
+    [TypeAssumption(t, True, 1) for t in non_dihedral]
+    + [TypeAssumption(t, False, n) for t in non_dihedral for n in (2, 3, 4, 6)]
+)
+
+
+@given(atoms)
+def test_atom_text_round_trip_generated(a):
+    assert parse_atom(atom_text(a)) == a
+
+
+@given(atoms)
+def test_dual_is_a_dimension_preserving_involution(a):
+    assert dual(dual(a)) == a
+    assert dual(a).dim == a.dim
+
+
+@given(
+    atoms.filter(lambda a: a.kind != repring.KIND_OPAQUE),
+    st.floats(0, 2 * math.pi),
+    st.floats(0, 2 * math.pi),
+    st.integers(0, 2),
+)
+def test_dual_conjugates_on_unitary_points(a, theta_a, theta_b, mu_power):
+    # oracle: with |alpha| = |beta| = 1 and mu a cube root of unity every
+    # character is unitary, so the contragredient's trace is the conjugate
+    s = SatakePoint(
+        cmath.exp(1j * theta_a), cmath.exp(1j * theta_b), aux_values={"mu": ZETA3 ** mu_power}
+    )
+    assert abs(eval_atom(dual(a), s) - eval_atom(a, s).conjugate()) < 1e-12
+
+
+@given(atoms, atoms, assumptions)
+def test_rs_pole_order_symmetric_on_single_atoms(x, y, t):
+    forward = rs_pole_order(VirtualRep.of(x), VirtualRep.of(y), t).total_order
+    assert forward == rs_pole_order(VirtualRep.of(y), VirtualRep.of(x), t).total_order
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +416,15 @@ def test_virtualrep_json_round_trip():
 def test_virtualrep_no_zero_multiplicities():
     v = VirtualRep.from_terms([(PI, 1), (PI, -1), (sym(2), 2)])
     assert v == VirtualRep.from_terms([(sym(2), 2)])
+
+
+def test_symbol_tables_are_read_only():
+    with pytest.raises(TypeError):
+        repring.AUX_ORDERS["nu"] = 5
+    with pytest.raises(TypeError):
+        repring.OPAQUE_DUALS["pi_psi"] = "pi_psi"
+    assert dict(repring.AUX_ORDERS) == {"mu": 3}
+    assert dict(repring.OPAQUE_DUALS) == {"pi_chi": "pi_chi_bar", "pi_chi_bar": "pi_chi"}
 
 
 def test_atom_invariants():
