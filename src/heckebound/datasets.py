@@ -1,9 +1,11 @@
 """Generate and ingest normalized Hecke-eigenvalue datasets.
 
 Three generators at desk scale, each capped: point counts on a short
-Weierstrass model (p <= EC_X_CAP), the weight-12 level-1 q-expansion through
-exact integer series arithmetic (p <= TAU_X_CAP), and a seeded sampler from
-the semicircle-squared distribution (the first ST_N_CAP primes).  A dataset
+Weierstrass model (p <= EC_X_CAP; baby-step giant-step above MESTRE_P, with
+the O(p) character sweep for small p and as its fallback), the weight-12
+level-1 q-expansion through exact integer series arithmetic
+(p <= TAU_X_CAP), and a seeded sampler from the semicircle-squared
+distribution (the first ST_N_CAP primes).  A dataset
 is a header plus `Records`: columns of primes p, unitarily normalized
 eigenvalues a and optional exact integers a_raw, validated once when built.
 CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
@@ -31,6 +33,8 @@ EC_X_CAP = 100_000
 TAU_X_CAP = 10_000
 ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
+MESTRE_P = 229  # above it, E or its twist has a point that fixes #E(F_p)
+BSGS_POINTS = 32  # points tried before baby-step giant-step falls back
 
 # 11a1 in short Weierstrass form y^2 = x^3 - 27*c4*x - 54*c6 with
 # (c4, c6) = (496, 20008); good away from 2, 3, 11.
@@ -123,7 +127,8 @@ def first_n_primes(n: int) -> list[int]:
 
 def _ec_trace(A: int, B: int, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for y^2 = x^3 + Ax + B via a full
-    quadratic-character sweep over x."""
+    quadratic-character sweep over x: O(p), the path for p <= MESTRE_P, the
+    fallback when baby-step giant-step gives up, and its test oracle."""
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(xs * xs) % p] = 1
@@ -132,9 +137,97 @@ def _ec_trace(A: int, B: int, p: int) -> int:
     return -int(chi[f].sum())
 
 
-def ec_ap(A: int, B: int, X: int) -> Dataset:
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + ax + b over F_p; points are (x, y) with
+    coordinates in 0..p-1, and None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, a: int, p: int):
+    R = None
+    for bit in bin(n)[2:]:
+        R = _ec_add(R, R, a, p)
+        if bit == "1":
+            R = _ec_add(R, P, a, p)
+    return R
+
+
+def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
+    """Every N in lo..hi with N*P = O: baby steps j*P (j <= s, keyed by x)
+    and giant steps of (2s+1)*P, so each N = m + e with |e| <= s is read off
+    m*P = -e*P."""
+    s = math.isqrt((hi - lo) // 2) + 1
+    baby = {}
+    R = None
+    for j in range(1, s + 1):
+        R = _ec_add(R, P, a, p)
+        if R is None or R[0] in baby:
+            # The first return to O or to a known x is j*P = O or j*P = -i*P,
+            # so P has order n = j or i + j <= 2s.  A giant step would then
+            # see several e for one m, so list every multiple of n instead.
+            n = j if R is None else j + baby[R[0]][0]
+            return set(range(-(-lo // n) * n, hi + 1, n))
+        baby[R[0]] = (j, R[1])
+    step = _ec_add(_ec_add(R, R, a, p), P, a, p)
+    found = set()
+    G = _ec_mul(lo + s, P, a, p)
+    for m in range(lo + s, hi + s + 1, 2 * s + 1):
+        if G is None:
+            found.add(m)
+        elif G[0] in baby:  # G = j*P (e = -j) or -j*P (e = j); both if 2-torsion
+            j, y = baby[G[0]]
+            if G[1] == y:
+                found.add(m - j)
+            if G[1] == -y % p:
+                found.add(m + j)
+        G = _ec_add(G, step, a, p)
+    return {n for n in found if lo <= n <= hi}
+
+
+def _ec_trace_bsgs(A: int, B: int, p: int, points: int = BSGS_POINTS) -> int | None:
+    """a_p for p > MESTRE_P by Shanks-Mestre baby-step giant-step, or None
+    when `points` points leave #E(F_p) ambiguous.
+
+    For x = 0, 1, 2, ... with f = x^3 + Ax + B != 0, the point (xf, f^2)
+    lies on y^2 = x^3 + Af^2 x + Bf^3: E itself when f is a square mod p,
+    else its quadratic twist, whose count is 2p + 2 - #E.  #E is among the
+    annihilators in the Hasse interval of every such point, so once their
+    intersection is a single N it is #E, with no order computation."""
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    counts = None
+    for x in range(p):
+        f = (x * x * x + A * x + B) % p
+        if not f:
+            continue
+        if points <= 0:
+            return None
+        points -= 1
+        found = _annihilators((x * f % p, f * f % p), A * f * f % p, p, lo, hi)
+        if pow(f, (p - 1) // 2, p) != 1:
+            found = {2 * p + 2 - n for n in found}
+        counts = found if counts is None else counts & found
+        if len(counts) == 1:
+            return p + 1 - counts.pop()
+    return None
+
+
+def ec_ap(A: int, B: int, X: int, *, _points: int = BSGS_POINTS) -> Dataset:
     """Unitarily normalized a_p/sqrt(p) for all good primes p <= X of the
-    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped."""
+    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped.
+    `_points` bounds the baby-step giant-step attempts per prime (tests)."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
         raise SingularCurveError(f"curve y^2 = x^3 + {A}x + {B} is singular")
@@ -147,7 +240,9 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
         if (2 * disc) % p == 0:
             skipped.append(p)
             continue
-        ap = _ec_trace(A, B, p)
+        ap = _ec_trace_bsgs(A, B, p, _points) if p > MESTRE_P else None
+        if ap is None:
+            ap = _ec_trace(A, B, p)
         ps.append(p)
         a.append(ap / math.sqrt(p))
         raw.append(ap)

@@ -39,10 +39,18 @@ def operating_point(records: Records) -> float:
 def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float:
     """Sum over the dataset of Re(a_p e^{i phi})^k / p^s."""
     _require_records(records)
-    if s <= 1.0:
-        raise ParameterError(f"need s > 1, got {s}")
+    if k < 0:
+        raise ParameterError(f"need k >= 0, got {k}")
+    if not (math.isfinite(s) and s > 1.0):
+        raise ParameterError(f"need finite s > 1, got {s}")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi}")
     vals = (records.a * cmath.exp(1j * phi)).real
-    return float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
+    if not math.isfinite(total):
+        raise ParameterError(f"the k={k} power sum overflows a double")
+    return total
 
 
 def normalized_ratio(records: Records, k: int, s: float, phi: float = 0.0) -> float:
@@ -80,8 +88,10 @@ def density_profile(
     """Proportion of primes with Re(a_p e^{i phi}) > c ('above') or < -c
     ('below'), both natural and weighted by p^-s at s = 1 + 1/log X."""
     _require_records(records)
-    if c < 0:
-        raise ParameterError("threshold must be >= 0")
+    if not (math.isfinite(c) and c >= 0):
+        raise ParameterError(f"threshold must be finite and >= 0, got {c}")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi}")
     if side not in ("above", "below"):
         raise ParameterError(f"side must be 'above' or 'below', got {side!r}")
     vals = (records.a * cmath.exp(1j * phi)).real
@@ -104,8 +114,6 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     """Least-squares slope of the truncated k-th power sum against
     log(1/(s-1)): an empirical pole-order estimate."""
     _require_records(records)
-    if k < 0:
-        raise ParameterError(f"need k >= 0, got {k}")
     if len(s_grid) < 3:
         raise ParameterError("need at least 3 grid points")
     if not all(math.isfinite(s) for s in s_grid):
@@ -116,11 +124,10 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     if gaps[-1] / gaps[0] < 4.0:
         raise ParameterError("grid must span at least a factor of 4 in s - 1")
     x = np.array([math.log(1.0 / (s - 1.0)) for s in s_grid])
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.array([truncated_sum(records, k, s) for s in s_grid])
-        slope = float(np.polyfit(x, y, 1)[0]) if np.isfinite(y).all() else math.nan
-    if not math.isfinite(slope):
-        raise ParameterError(f"the k={k} power sums overflow a double; no finite slope")
+    y = np.array([truncated_sum(records, k, s) for s in s_grid])
+    slope = float(np.polyfit(x, y, 1)[0])
+    if not math.isfinite(slope):  # finite sums near the double limit can still fit to inf
+        raise ParameterError(f"the k={k} power sums give no finite slope")
     return slope
 
 

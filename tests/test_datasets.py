@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heckebound import datasets
 from heckebound.datasets import (
     CURVE_11A1,
     EC_X_CAP,
     MAX_P,
+    MESTRE_P,
     ST_N_CAP,
     TAU_X_CAP,
     Dataset,
@@ -64,6 +66,56 @@ def test_ec_matches_brute_force_small_curve():
     data = ec_ap(A, B, 50)
     for p, raw in zip(data.records.p.tolist(), data.records.a_raw):
         assert raw == brute_force_trace(A, B, p)
+
+
+def sweep_traces(A, B, data):
+    # the O(p) character sweep that baby-step giant-step replaces above MESTRE_P
+    return [datasets._ec_trace(A, B, p) for p in data.records.p.tolist()]
+
+
+@pytest.mark.parametrize(
+    "A, B, X",
+    [(*CURVE_11A1, 20_000), (-2, 3, 5_000), (0, 7, 5_000), (1, 0, 5_000), (-1, 0, 5_000)],
+)
+def test_ec_matches_character_sweep(A, B, X):
+    data = ec_ap(A, B, X)
+    assert list(data.records.a_raw) == sweep_traces(A, B, data)
+
+
+BSGS_PRIMES = [p for p in primes_up_to(3000) if p > MESTRE_P]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(BSGS_PRIMES))
+def test_bsgs_is_exact_or_gives_up(A, B, p):
+    assume((4 * A ** 3 + 27 * B ** 2) % p)
+    assert datasets._ec_trace_bsgs(A, B, p) in (None, datasets._ec_trace(A, B, p))
+
+
+@pytest.mark.parametrize("A, B, p", [(-3, 3, 233), (-2, 1, 233)])
+def test_annihilators_complete_on_every_point(A, B, p):
+    # both groups have points of order 2s and below (s = 6 at p = 233), where
+    # one giant step matches several baby steps; walk N*P over the interval
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    roots = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    curve = [(x, y) for x in range(p) for y in roots.get((x ** 3 + A * x + B) % p, [])]
+    for P in curve:
+        R, walked = datasets._ec_mul(lo, P, A % p, p), set()
+        for n in range(lo, hi + 1):
+            if R is None:
+                walked.add(n)
+            R = datasets._ec_add(R, P, A % p, p)
+        assert datasets._annihilators(P, A % p, p, lo, hi) == walked
+
+
+def test_ec_falls_back_to_sweep_when_bsgs_gives_up():
+    # one point per prime leaves #E ambiguous at some primes, e.g. p = 241
+    assert datasets._ec_trace_bsgs(*CURVE_11A1, 241, 1) is None
+    data = ec_ap(*CURVE_11A1, 3000, _points=1)
+    assert list(data.records.a_raw) == sweep_traces(*CURVE_11A1, data)
 
 
 def test_ec_11a1_known_traces(ec_11a1):

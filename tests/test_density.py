@@ -42,6 +42,31 @@ def test_truncated_sum_rejects_s_at_or_below_one():
         truncated_sum(records, 2, 0.5)
 
 
+@pytest.mark.parametrize(
+    "k, s, phi",
+    [(2, math.inf, 0.0), (2, math.nan, 0.0), (2, 1.2, math.inf), (2, 1.2, math.nan), (-1, 1.2, 0.0)],
+)
+def test_truncated_sum_rejects_bad_args(k, s, phi):
+    with pytest.raises(ParameterError):
+        truncated_sum(constant_records(1.0, 10), k, s, phi)
+    with pytest.raises(ParameterError):
+        normalized_ratio(constant_records(1.0, 10), k, s, phi)
+
+
+def test_truncated_sum_overflow_raises_without_warning():
+    # the test config turns any RuntimeWarning into an error
+    with pytest.raises(ParameterError):
+        truncated_sum(constant_records(2.0, 10), 100_000, 1.2)
+
+
+def test_probe_rejects_infinite_slope_from_finite_sums():
+    # every k = 1749 sum is finite, but the least-squares fit overflows
+    records = constant_records(1.5, 1000)
+    assert math.isfinite(truncated_sum(records, 1749, 1.1))
+    with pytest.raises(ParameterError):
+        pole_order_probe(records, 1749, [1.5, 1.3, 1.2, 1.1])
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(DatasetError):
         truncated_sum(Records([], []), 2, 1.2)
@@ -89,6 +114,12 @@ def test_density_profile_rejects_bad_args():
         density_profile(records, -0.1, "above")
     with pytest.raises(ParameterError):
         density_profile(records, 0.5, "sideways")
+
+
+@pytest.mark.parametrize("c, phi", [(math.inf, 0.0), (math.nan, 0.0), (0.5, math.inf), (0.5, math.nan)])
+def test_density_profile_rejects_non_finite_args(c, phi):
+    with pytest.raises(ParameterError):
+        density_profile(constant_records(1.0, 10), c, "above", phi)
 
 
 def test_probe_scales_with_squared_amplitude():
