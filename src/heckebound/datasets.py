@@ -224,10 +224,9 @@ def _ec_trace_bsgs(A: int, B: int, p: int, points: int = BSGS_POINTS) -> int | N
     return None
 
 
-def ec_ap(A: int, B: int, X: int, *, _points: int = BSGS_POINTS) -> Dataset:
+def ec_ap(A: int, B: int, X: int) -> Dataset:
     """Unitarily normalized a_p/sqrt(p) for all good primes p <= X of the
-    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped.
-    `_points` bounds the baby-step giant-step attempts per prime (tests)."""
+    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
         raise SingularCurveError(f"curve y^2 = x^3 + {A}x + {B} is singular")
@@ -240,7 +239,7 @@ def ec_ap(A: int, B: int, X: int, *, _points: int = BSGS_POINTS) -> Dataset:
         if (2 * disc) % p == 0:
             skipped.append(p)
             continue
-        ap = _ec_trace_bsgs(A, B, p, _points) if p > MESTRE_P else None
+        ap = _ec_trace_bsgs(A, B, p) if p > MESTRE_P else None
         if ap is None:
             ap = _ec_trace(A, B, p)
         ps.append(p)
