@@ -3,9 +3,9 @@
 Three generators at desk scale, each capped: point counts on a short
 Weierstrass model (p <= EC_X_CAP; baby-step giant-step above MESTRE_P, with
 the O(p) character sweep for small p and as its fallback), the weight-12
-level-1 q-expansion through exact integer series arithmetic
-(p <= TAU_X_CAP), and a seeded sampler from the semicircle-squared
-distribution (the first ST_N_CAP primes).  A dataset
+level-1 q-expansion as Jacobi's cube series to the 8th power modulo four
+primes, lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based
+inverse-CDF sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
 is a header plus `Records`: columns of primes p, unitarily normalized
 eigenvalues a and optional exact integers a_raw, validated once when built.
 CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
@@ -20,10 +20,9 @@ import cmath
 import functools
 import itertools
 import math
-import random
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +34,10 @@ ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 MESTRE_P = 229  # above it, E or its twist has a point that fixes #E(F_p)
 BSGS_POINTS = 32  # points tried before baby-step giant-step falls back
+TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
+CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
+SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 
 # 11a1 in short Weierstrass form y^2 = x^3 - 27*c4*x - 54*c6 with
 # (c4, c6) = (496, 20008); good away from 2, 3, 11.
@@ -107,7 +110,7 @@ def primes_up_to(x: int) -> list[int]:
     for p in range(2, int(math.isqrt(x)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return np.flatnonzero(sieve).tolist()
 
 
 def first_n_primes(n: int) -> list[int]:
@@ -253,72 +256,48 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
 # Weight-12 level-1 coefficients
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    return int.from_bytes(
-        b"".join(c.to_bytes(width, "little") for c in coeffs), "little"
-    )
-
-
-def _unpack(value: int, width: int, n: int) -> list[int]:
-    value &= (1 << (8 * width * n)) - 1  # truncate to the first n coefficients
-    raw = value.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n)]
-
-
-def _poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    """Truncated product of integer polynomials via Kronecker substitution:
-    coefficients are packed into big integers (positive and negative parts
-    separately) and multiplied with native big-int arithmetic."""
-    bits_a = max((abs(c).bit_length() for c in a), default=1)
-    bits_b = max((abs(c).bit_length() for c in b), default=1)
-    width = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 2 + 7) // 8 + 1
-    a_pos = _pack([c if c > 0 else 0 for c in a], width)
-    a_neg = _pack([-c if c < 0 else 0 for c in a], width)
-    b_pos = _pack([c if c > 0 else 0 for c in b], width)
-    b_neg = _pack([-c if c < 0 else 0 for c in b], width)
-    plus = _unpack(a_pos * b_pos + a_neg * b_neg, width, n)
-    minus = _unpack(a_pos * b_neg + a_neg * b_pos, width, n)
-    return [pl - mi for pl, mi in zip(plus, minus)]
-
-
-def _eta_coeffs(n: int) -> list[int]:
-    """Coefficients of the product of (1 - q^m), m >= 1, to order n-1,
-    by the pentagonal number expansion."""
-    out = [0] * n
-    out[0] = 1
-    k = 1
-    while True:
-        placed = False
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g < n:
-                out[g] = (-1) ** k
-                placed = True
-        if not placed:
-            break
-        k += 1
-    return out
+def _tau_residues(X: int) -> np.ndarray:
+    """tau(1)..tau(X) modulo each of TAU_MODULI, one row per modulus.  By
+    Jacobi, prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), which has
+    about sqrt(2X) terms, and Delta/q is its 8th power: 8 rounds of sparse
+    shift-adds, reduced once per round (at the cap each of the 141 terms is
+    below 2^39 and their sum below 2^47, inside int64)."""
+    terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(math.isqrt(2 * X) + 1)]
+    moduli = np.array(TAU_MODULI, dtype=np.int64)[:, None]
+    f = np.zeros((len(TAU_MODULI), X), dtype=np.int64)
+    f[:, 0] = 1
+    for _ in range(8):
+        g = np.zeros_like(f)
+        for shift, c in terms:
+            if shift < X:
+                g[:, shift:] += c * f[:, : X - shift]
+        f = g % moduli
+    return f
 
 
 @functools.lru_cache(maxsize=4)
 def tau_coefficients(X: int) -> tuple[int, ...]:
-    """tau(1)..tau(X) from the 24th power of the eta-product series."""
+    """tau(1)..tau(X) as exact ints: the residues of `_tau_residues` lifted by
+    the CRT to the symmetric range, which holds every tau(n) because the
+    product of TAU_MODULI exceeds 2 d(n) n^(11/2) >= 2|tau(n)| for n <= the cap."""
     if X > TAU_X_CAP:
         raise ParameterError(f"X = {X} exceeds the exact-series cap {TAU_X_CAP}")
     if X < 1:
         raise ParameterError("need X >= 1")
-    e = _eta_coeffs(X)
-    e2 = _poly_mul_trunc(e, e, X)
-    e4 = _poly_mul_trunc(e2, e2, X)
-    e8 = _poly_mul_trunc(e4, e4, X)
-    e16 = _poly_mul_trunc(e8, e8, X)
-    e24 = _poly_mul_trunc(e16, e8, X)
-    return tuple(e24[:X])  # tau(n) is the coefficient of q^(n-1), times q
+    big = math.prod(TAU_MODULI)
+    basis = [big // m * pow(big // m, -1, m) for m in TAU_MODULI]
+    lifted = (sum(map(operator.mul, rs, basis)) % big for rs in zip(*_tau_residues(X).tolist()))
+    return tuple(v - big if v > big // 2 else v for v in lifted)
 
 
 def tau_ap(X: int) -> Dataset:
-    """Normalized tau(p)/p^(11/2) for primes p <= X."""
+    """Normalized tau(p)/p^(11/2) for primes p <= X, each raw tau(p) first
+    checked against Deligne's bound |tau(p)| <= 2 p^(11/2)."""
     taus = tau_coefficients(X)
     ps = primes_up_to(X)
+    for p in ps:
+        if taus[p - 1] ** 2 > 4 * p ** 11:
+            raise DatasetError(f"tau({p}) = {taus[p - 1]} exceeds Deligne's bound 2 p^(11/2)")
     records = Records(ps, [taus[p - 1] / p ** 5.5 for p in ps], [taus[p - 1] for p in ps])
     return Dataset(DatasetHeader(f"tau[X={X}]", True, X), records)
 
@@ -327,24 +306,42 @@ def tau_ap(X: int) -> Dataset:
 # Synthetic sampler
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array (arithmetic wraps mod 2^64)."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _sato_tate_angle(u: np.ndarray) -> np.ndarray:
+    """theta in [0, pi] with F(theta) = (theta - sin theta cos theta)/pi = u,
+    the Sato-Tate CDF, for u in [0, 1): Newton's method from cbrt(3 pi u/2),
+    where F(theta) ~ 2 theta^3/(3 pi) (mirrored about pi/2 for u >= 1/2),
+    clipped to [0, pi].  Six steps reach |F(theta) - u| <= 3.4e-16."""
+    theta = np.cbrt(1.5 * np.pi * np.minimum(u, 1.0 - u))
+    theta = np.where(u < 0.5, theta, np.pi - theta)
+    for _ in range(6):
+        slope = 2.0 / np.pi * np.sin(theta) ** 2
+        residual = (theta - np.sin(theta) * np.cos(theta)) / np.pi - u
+        step = np.divide(residual, slope, out=np.zeros_like(theta), where=slope > 0)
+        theta = np.clip(theta - step, 0.0, np.pi)
+    return theta
+
+
 def sato_tate_sample(n: int, seed: int) -> Dataset:
-    """a_p = 2 cos(theta_p) on the first n primes, theta drawn from the
-    density (2/pi) sin^2 by rejection from a uniform proposal.  Each record
-    derives its own generator from (seed, p), so output is reproducible
-    regardless of evaluation order."""
+    """a_p = 2 cos(theta_p) on the first n primes, theta_p drawn from the
+    density (2/pi) sin^2 by inverse CDF.  The i-th prime's uniform is the top
+    53 bits of output i of SplitMix64 started at seed mod SEED_MODULUS, which
+    is computed from (seed, i) alone, so output is reproducible, independent
+    of evaluation order, and a prefix of any longer run with the same seed."""
     if n < 1:
         raise ParameterError("need n >= 1")
     if n > ST_N_CAP:
         raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
     ps = first_n_primes(n)
-    a = []
-    for p in ps:
-        rng = random.Random(f"{seed}:{p}")
-        while True:
-            theta = rng.uniform(0.0, math.pi)
-            if rng.random() <= math.sin(theta) ** 2:
-                break
-        a.append(2.0 * math.cos(theta))
+    key = np.uint64(seed % SEED_MODULUS)
+    bits = _mix64(key + np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
+    a = 2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))
     return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), Records(ps, a))
 
 
@@ -366,12 +363,14 @@ def dumps_csv(dataset: Dataset) -> str:
     h, r = dataset.header, dataset.records
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
-    cols = zip(r.p.tolist(), r.a.real.tolist(), r.a.imag.tolist())
-    rows = [f"{p},{x!r},{y!r}" for p, x, y in cols]
-    if r.a_raw is not None:
-        rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw)]
-    head = f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}"
-    return "\n".join([head, *rows]) + "\n"
+    text = [f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}"]
+    for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
+        cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))
+        rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(*cols)]
+        if r.a_raw is not None:
+            rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw[block])]
+        text.append("\n".join(rows))
+    return "\n".join(text) + "\n"
 
 
 def read_csv(path: str | Path) -> Dataset:

@@ -192,6 +192,18 @@ def test_verify_non_finite_row_exits_one(tmp_path, capsys, value):
     assert "line 2" in err
 
 
+def test_generate_st_seed_fold(capsys):
+    # seeds outside 0..2^64 fold into the sampler key without colliding here
+    rows = set()
+    for seed in ("-1", "0", str(2 ** 70), str(-(2 ** 70))):
+        argv = ("generate", "--kind", "st", "--n", "50", "--seed", seed)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv) == (0, out, "")
+        rows.add(out.split("\n", 1)[1])  # the header names the seed
+    assert len(rows) == 4
+
+
 def test_generate_st_over_cap_exits_one(capsys):
     code, _, err = run(capsys, "generate", "--kind", "st", "--n", "100001")
     assert_rejected(code, err)

@@ -1,6 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,6 +16,7 @@ from heckebound.datasets import (
     MAX_P,
     MESTRE_P,
     ST_N_CAP,
+    TAU_MODULI,
     TAU_X_CAP,
     Dataset,
     DatasetHeader,
@@ -158,6 +164,85 @@ def test_ec_sorted_strictly_increasing(ec_11a1):
 # weight-12 coefficients
 
 
+def _pack(coeffs, width):
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(value, width, n):
+    value &= (1 << (8 * width * n)) - 1  # truncate to the first n coefficients
+    raw = value.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n)]
+
+
+def _poly_mul_trunc(a, b, n):
+    # truncated product by Kronecker substitution: coefficients packed into
+    # big ints (positive and negative parts apart), one native big-int product
+    bits_a = max((abs(c).bit_length() for c in a), default=1)
+    bits_b = max((abs(c).bit_length() for c in b), default=1)
+    width = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 2 + 7) // 8 + 1
+    a_pos = _pack([c if c > 0 else 0 for c in a], width)
+    a_neg = _pack([-c if c < 0 else 0 for c in a], width)
+    b_pos = _pack([c if c > 0 else 0 for c in b], width)
+    b_neg = _pack([-c if c < 0 else 0 for c in b], width)
+    plus = _unpack(a_pos * b_pos + a_neg * b_neg, width, n)
+    minus = _unpack(a_pos * b_neg + a_neg * b_pos, width, n)
+    return [pl - mi for pl, mi in zip(plus, minus)]
+
+
+@functools.lru_cache(maxsize=1)
+def kronecker_tau(n):
+    # independent exact oracle: tau(1)..tau(n) as the coefficients of the 24th
+    # power of prod (1 - q^m), expanded by Euler's pentagonal number theorem
+    eta = [0] * n
+    for k in range(-n, n + 1):
+        g = k * (3 * k - 1) // 2
+        if 0 <= g < n:
+            eta[g] = -1 if k % 2 else 1
+    e2 = _poly_mul_trunc(eta, eta, n)
+    e4 = _poly_mul_trunc(e2, e2, n)
+    e8 = _poly_mul_trunc(e4, e4, n)
+    return tuple(_poly_mul_trunc(_poly_mul_trunc(e8, e8, n), e8, n))
+
+
+def test_tau_matches_kronecker_oracle():
+    # every n <= 10^4, composite n included, not only the primes tau_ap emits
+    assert tau_coefficients(10_000) == kronecker_tau(10_000)
+    assert tau_coefficients(37) == kronecker_tau(10_000)[:37]
+
+
+def test_tau_ramanujan_congruence(tau_10k):
+    for p, raw in zip(tau_10k.records.p.tolist(), tau_10k.records.a_raw):
+        assert (raw - 1 - p ** 11) % 691 == 0
+
+
+def test_tau_moduli_cover_the_cap():
+    # |tau(n)| <= d(n) n^(11/2), so the lift to the symmetric range is exact
+    # when the product of the moduli exceeds twice that at every n <= the cap
+    d = [0] * (TAU_X_CAP + 1)
+    for i in range(1, TAU_X_CAP + 1):
+        for j in range(i, TAU_X_CAP + 1, i):
+            d[j] += 1
+    big = math.prod(TAU_MODULI)
+    assert all(big * big > 4 * d[n] ** 2 * n ** 11 for n in range(1, TAU_X_CAP + 1))
+
+
+def test_tau_deligne_check_trips_on_corrupt_residue(monkeypatch):
+    residues = datasets._tau_residues
+
+    def corrupt(X):
+        f = residues(X)
+        f[2, 96] += 1  # tau(97) modulo the third modulus
+        return f
+
+    monkeypatch.setattr(datasets, "_tau_residues", corrupt)
+    tau_coefficients.cache_clear()
+    try:
+        with pytest.raises(DatasetError, match=r"tau\(97\)"):
+            tau_ap(100)
+    finally:
+        tau_coefficients.cache_clear()
+
+
 def test_tau_small_values():
     taus = tau_coefficients(10)
     assert taus[0] == 1  # leading coefficient
@@ -231,6 +316,30 @@ def test_sato_tate_prefix_stable():
     assert short == Records(long.p[:50], long.a[:50])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 2000), st.integers(-(2 ** 80), 2 ** 80))
+def test_sato_tate_prefix_property(n, extra, seed):
+    short = sato_tate_sample(n, seed).records
+    long = sato_tate_sample(n + extra, seed).records
+    assert short == Records(long.p[:n], long.a[:n])
+
+
+def test_sato_tate_angle_solves_the_cdf():
+    u = np.concatenate([np.linspace(0.0, 1.0 - 2.0 ** -53, 100_001), [2.0 ** -53, 0.5, 0.5 - 2.0 ** -54]])
+    theta = datasets._sato_tate_angle(u)
+    assert np.all((theta >= 0.0) & (theta <= math.pi))
+    cdf = (theta - np.sin(theta) * np.cos(theta)) / math.pi
+    assert np.max(np.abs(cdf - u)) <= 1e-12
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, several MB of resident memory in every process
+    code = "import sys, heckebound.cli; sys.exit('_hashlib' in sys.modules)"
+    src = str(Path(datasets.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_sato_tate_kolmogorov_smirnov(st_100k):
     thetas = sorted(math.acos(max(-1.0, min(1.0, a / 2))) for a in st_100k.records.a.real.tolist())
     n = len(thetas)
@@ -259,6 +368,21 @@ def test_round_trip(tmp_path, ec_11a1):
     assert got.p.tolist() == want.p.tolist()
     assert got.a.tolist() == want.a.tolist()
     assert got.a_raw == want.a_raw
+
+
+def per_row_csv(data):
+    # the data rows as formatted one list per file, before row blocks
+    r = data.records
+    rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(r.p.tolist(), r.a.real.tolist(), r.a.imag.tolist())]
+    if r.a_raw is not None:
+        rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw)]
+    return rows
+
+
+def test_dumps_csv_row_blocks_keep_the_bytes(monkeypatch, st_100k, tau_10k):
+    assert dumps_csv(st_100k).split("\n")[1:] == per_row_csv(st_100k) + [""]
+    monkeypatch.setattr(datasets, "CSV_BLOCK", 100)  # 13 blocks, the last one short
+    assert dumps_csv(tau_10k).split("\n")[1:] == per_row_csv(tau_10k) + [""]
 
 
 def test_round_trip_empty():
