@@ -12,9 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
+
+#: pole orders at s=1 of L(s, pi^(x k)) for general self-dual pi: k = 4,
+#: k = 8, and the lower bound used at k = 6
+POLE4, POLE8, POLE6 = 2, 14, 5
+#: theorems `density.verify_theorem` checks, and its default slack
+THEOREMS = ("t1pos", "t1neg", "t2")
+DEFAULT_EPSILON = 0.01
 
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
@@ -28,26 +33,18 @@ class BoundResult:
     branch_values: tuple[float, float]
     trace: str
 
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "optimizer": self.optimizer,
-            "branch_values": list(self.branch_values),
-            "trace": self.trace,
-        }
 
-
-def holder_branch(d: float, pole8: float = 14.0) -> float:
+def holder_branch(d: float, pole8: float = POLE8) -> float:
     """Increasing branch (d^5 / pole8)^(1/12) from the eighth-power bound."""
     return (d ** 5 / pole8) ** (1 / 12)
 
 
-def partition_branch(d: float, pole4: float = 2.0) -> float:
+def partition_branch(d: float, pole4: float = POLE4) -> float:
     """Decreasing branch (pole4 - d)^(1/4) from the fourth-power pole."""
     return (pole4 - d) ** 0.25
 
 
-def positive_side(pole4: int = 2, pole8: int = 14) -> BoundResult:
+def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
     """min over d in [0, pole4] of max{(d^5/pole8)^(1/12), (pole4-d)^(1/4)},
     located by bisection on the unique crossing of the two branches."""
     if pole4 < 1 or pole8 < 1:
@@ -76,19 +73,16 @@ def positive_side(pole4: int = 2, pole8: int = 14) -> BoundResult:
 
 def _corner_scan(t_of_densities, step: float = GRID_STEP) -> tuple[float, float, float]:
     """Minimum of the admissible threshold over (dA, dB) in (0,1]^2 on a
-    grid, returned with its location; raises if the minimum is interior."""
-    grid = np.arange(step, 1.0 + step / 2, step)
-    d_a = grid[:, None]
-    d_b = grid[None, :]
-    values = t_of_densities(d_a, d_b)
-    idx = np.unravel_index(np.argmin(values), values.shape)
-    at = (float(grid[idx[0]]), float(grid[idx[1]]))
-    if at != (1.0, 1.0):
-        raise ParameterError(f"worst-case density scan not at the corner: {at}")
-    return float(values[idx]), at[0], at[1]
+    grid, returned with its location (the first in row order on ties);
+    raises if the minimum is not at the corner."""
+    grid = [step + i * step for i in range(round(1 / step))]
+    value, d_a, d_b = min((t_of_densities(d_a, d_b), d_a, d_b) for d_a in grid for d_b in grid)
+    if (d_a, d_b) != (1.0, 1.0):
+        raise ParameterError(f"worst-case density scan not at the corner: {(d_a, d_b)}")
+    return value, d_a, d_b
 
 
-def negative_side(pole6_lower: int = 5) -> BoundResult:
+def negative_side(pole6_lower: int = POLE6) -> BoundResult:
     """Threshold t with pole6 - t^6 dB <= dB^(6/7) t^6 dA^(1/7); the worst
     case dA = dB = 1 gives t = (pole6/2)^(1/6)."""
     if pole6_lower < 1:
@@ -116,7 +110,7 @@ def positive_side_weak() -> BoundResult:
     on the positive side with the simple k=2 pole and cubic Hoelder."""
 
     def admissible(d_a, d_b):
-        return np.sqrt(1.0 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
+        return math.sqrt(1.0 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
 
     scanned, d_a, d_b = _corner_scan(admissible)
     constant = 1 / math.sqrt(2)
@@ -136,7 +130,7 @@ def non_self_dual(phi: float) -> BoundResult:
         raise ParameterError(f"phi must lie in [0, pi], got {phi}")
 
     def admissible(d_a, d_b):
-        return np.sqrt(0.5 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
+        return math.sqrt(0.5 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
 
     scanned, d_a, d_b = _corner_scan(admissible)
     constant = 0.5

@@ -1,6 +1,8 @@
 """Command line entry point.
 
-Subcommands: decompose, poles, bounds, generate, verify, probe.  generate
+Subcommands: decompose, poles, bounds, generate, verify, probe.  Only
+generate, verify and probe import the numpy-backed `datasets` and
+`density`, so the symbolic subcommands start without numpy.  generate
 writes CSV; every other subcommand prints through one helper, as text or,
 under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
 2 usage error.
@@ -9,10 +11,11 @@ under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from . import bounds, density, datasets, poles, repring
+from . import bounds, poles, repring
 from .assumptions import RepType, TypeAssumption
 from .errors import DomainError, ParameterError
 
@@ -81,7 +84,7 @@ def _cmd_bounds(args) -> int:
         result = bounds.non_self_dual(args.phi)
     return _emit(
         args,
-        {"side": args.side, **result.to_json()},
+        {"side": args.side, **dataclasses.asdict(result)},
         f"constant: {result.constant:.10f}",
         *([f"optimizer: {result.optimizer:.10f}"] if result.optimizer is not None else []),
         f"trace: {result.trace}",
@@ -89,23 +92,27 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import datasets
+
     if args.kind == "ec":
-        dataset = datasets.ec_ap(args.a, args.b, args.x)
+        a = datasets.CURVE_11A1[0] if args.a is None else args.a
+        b = datasets.CURVE_11A1[1] if args.b is None else args.b
+        dataset = datasets.ec_ap(a, b, args.x)
     elif args.kind == "tau":
         dataset = datasets.tau_ap(args.x)
     else:
         dataset = datasets.sato_tate_sample(args.n, args.seed)
-    text = datasets.dumps_csv(dataset)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        datasets.write_csv(args.out, dataset)
         print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(datasets.dumps_csv(dataset))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import datasets, density
+
     dataset = datasets.read_csv(args.input)
     report = density.verify_theorem(
         dataset.records,
@@ -116,7 +123,7 @@ def _cmd_verify(args) -> int:
     )
     return _emit(
         args,
-        report.to_json(),
+        dataclasses.asdict(report),
         f"{report.theorem}: threshold {report.threshold:+.4f}, eps {report.epsilon}, "
         f"witnesses {report.count}/{report.total} (required {report.required})",
         *(f"  p={p}  value={value:+.6f}" for p, value in report.witnesses),
@@ -125,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import datasets, density
+
     dataset = datasets.read_csv(args.input)
     try:
         s_grid = [float(s) for s in args.s_grid.split(",")]
@@ -173,17 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bounds", help="derived one-sided constants")
     p.add_argument("--side", choices=["pos", "neg", "nsd", "weak"], default="pos")
-    p.add_argument("--pole4", type=int, default=2)
-    p.add_argument("--pole8", type=int, default=14)
-    p.add_argument("--pole6", type=int, default=5)
+    p.add_argument("--pole4", type=int, default=bounds.POLE4)
+    p.add_argument("--pole8", type=int, default=bounds.POLE8)
+    p.add_argument("--pole6", type=int, default=bounds.POLE6)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = subs.add_parser("generate", help="emit an eigenvalue dataset as CSV")
     p.add_argument("--kind", choices=["ec", "tau", "st"], required=True)
-    p.add_argument("--a", type=int, default=datasets.CURVE_11A1[0])
-    p.add_argument("--b", type=int, default=datasets.CURVE_11A1[1])
+    p.add_argument("--a", type=int, default=None)  # None means 11a1 (datasets.CURVE_11A1)
+    p.add_argument("--b", type=int, default=None)
     p.add_argument("--x", type=int, default=10_000)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
@@ -192,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="one-sided bound verification on a dataset")
     p.add_argument("--input", required=True)
-    p.add_argument("--theorem", choices=list(density.THEOREMS), required=True)
+    p.add_argument("--theorem", choices=list(bounds.THEOREMS), required=True)
     p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=density.DEFAULT_EPSILON)
+    p.add_argument("--eps", type=float, default=bounds.DEFAULT_EPSILON)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -213,10 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -374,7 +374,17 @@ def dumps_csv(dataset: Dataset) -> str:
 
 
 def read_csv(path: str | Path) -> Dataset:
-    return loads_csv(Path(path).read_text(encoding="utf-8"))
+    # the bytes are freed once decoded, before loads_csv builds its lists
+    return loads_csv(_utf8_text(Path(path).read_bytes()))
+
+
+def _utf8_text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as loads_csv's splitlines would
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
 
 def loads_csv(text: str) -> Dataset:

@@ -17,12 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
+from .bounds import DEFAULT_EPSILON, THEOREMS
 from .datasets import Records
 from .errors import DatasetError, ParameterError
 
 #: desk-scale proxy for "infinitely many": at least this fraction of primes
 WITNESS_FRACTION = 0.01
-DEFAULT_EPSILON = 0.01
 
 
 def _require_records(records: Records) -> None:
@@ -68,18 +68,6 @@ class DensityReport:
     count: int
     s_used: float
     X: int
-
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "side": self.side,
-            "phi": self.phi,
-            "natural_proportion": self.natural_proportion,
-            "dirichlet_weighted": self.dirichlet_weighted,
-            "count": self.count,
-            "s_used": self.s_used,
-            "X": self.X,
-        }
 
 
 def density_profile(
@@ -131,9 +119,6 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     return slope
 
 
-THEOREMS = ("t1pos", "t1neg", "t2")
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     theorem: str
@@ -145,19 +130,6 @@ class TheoremReport:
     total: int
     witnesses: tuple[tuple[int, float], ...]
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
-            "phi": self.phi,
-            "count": self.count,
-            "required": self.required,
-            "total": self.total,
-            "witnesses": [list(w) for w in self.witnesses],
-            "passed": self.passed,
-        }
 
 
 def verify_theorem(

@@ -46,10 +46,7 @@ class SingularCurveError(DatasetError):
 
 
 class DatasetFormatError(DatasetError):
-    """Malformed dataset file; carries the offending line number."""
+    """Malformed dataset file; the message names the offending line."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")

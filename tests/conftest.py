@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from heckebound import CURVE_11A1, ec_ap, sato_tate_sample, tau_ap
+from heckebound.datasets import CURVE_11A1, ec_ap, sato_tate_sample, tau_ap
 
 ST_SEED = 17
 ST_N = 100_000

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from heckebound.bounds import (
+    _corner_scan,
     holder_branch,
     negative_side,
     non_self_dual,
@@ -91,6 +93,13 @@ def test_negative_side_worst_case_at_corner():
     assert result.optimizer == 1.0
 
 
+@pytest.mark.parametrize("pole6", [5, 25, 29, 178])
+def test_negative_side_scan_equals_the_closed_form_exactly(pole6):
+    # both are (pole6/2)^(1/6) through one correctly rounded pow at the corner
+    scanned, corner = negative_side(pole6).branch_values
+    assert scanned == corner
+
+
 def test_negative_side_grid_scan_oracle():
     # independent scan over a 100x100 density grid
     grid = np.linspace(0.01, 1.0, 100)
@@ -99,6 +108,29 @@ def test_negative_side_grid_scan_oracle():
     assert admissible.min() == pytest.approx((5 / 2) ** (1 / 6), abs=1e-12)
     i = np.unravel_index(np.argmin(admissible), admissible.shape)
     assert (d_a[i], d_b[i]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "t_of_densities",
+    [
+        lambda a, b: (5 / (b + b ** (6 / 7) * a ** (1 / 7))) ** (1 / 6),
+        lambda a, b: (1.0 / (b + b ** (2 / 3) * a ** (1 / 3))) ** 0.5,
+        lambda a, b: 1 / (a * b),
+        lambda a, b: (a - 0.5) ** 2 + b,  # minimum off the corner
+        lambda a, b: 0 * a + 0 * b,  # ties everywhere: the first grid point
+    ],
+)
+def test_corner_scan_matches_array_argmin(t_of_densities):
+    # oracle: the same grid as a numpy array, first minimum in row order
+    grid = np.arange(0.01, 1.0 + 0.005, 0.01)
+    values = t_of_densities(grid[:, None], grid[None, :])
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    at = (float(grid[i]), float(grid[j]))
+    if at == (1.0, 1.0):
+        assert _corner_scan(t_of_densities) == (float(values[i, j]), 1.0, 1.0)
+    else:
+        with pytest.raises(ParameterError, match=re.escape(f"not at the corner: {at}")):
+            _corner_scan(t_of_densities)
 
 
 def test_negative_side_rejects_bad_input():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from heckebound import cli, datasets
 from heckebound.cli import main
 
 
@@ -181,6 +185,50 @@ def test_probe_bad_s_grid_exits_one(tmp_path, capsys, grid):
     path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
     code, _, err = run(capsys, "probe", "--input", str(path), "--k", "2", "--s-grid", grid)
     assert_rejected(code, err)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "t1pos"], ["probe", "--k", "2"]], ids=" ".join)
+def test_non_utf8_file_exits_one(tmp_path, capsys, argv):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,\xff,0.0\n13,1.1,0.0\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert_rejected(code, err)
+    assert err.startswith("error: line 3: not UTF-8")
+    assert out == ""
+
+
+def test_symbolic_subcommands_leave_numpy_unloaded():
+    # decompose, poles and bounds never touch an array, so they start without numpy
+    argvs = [["decompose", "--k", "3"], ["poles", "--k", "8"]]
+    argvs += [["bounds", "--side", side] for side in ("pos", "neg", "weak", "nsd")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from heckebound.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_generate_ec_defaults_to_11a1(capsys):
+    a, b = (str(v) for v in datasets.CURVE_11A1)
+    default = run(capsys, "generate", "--kind", "ec", "--x", "300")
+    assert default[0] == 0
+    assert run(capsys, "generate", "--kind", "ec", "--x", "300", "--a", a, "--b", b) == default
+    assert run(capsys, "generate", "--kind", "ec", "--x", "300", "--a", a) == default
+    assert run(capsys, "generate", "--kind", "ec", "--x", "300", "--b", b) == default
+
+
+def test_generate_out_writes_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "tau.csv"
+    code, out, _ = run(capsys, "generate", "--kind", "tau", "--x", "200")
+    assert run(capsys, "generate", "--kind", "tau", "--x", "200", "--out", str(path))[0] == code == 0
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -334,7 +334,7 @@ def test_sato_tate_angle_solves_the_cdf():
 
 def test_cli_import_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, several MB of resident memory in every process
-    code = "import sys, heckebound.cli; sys.exit('_hashlib' in sys.modules)"
+    code = "import sys, heckebound.cli, heckebound.datasets; sys.exit('_hashlib' in sys.modules)"
     src = str(Path(datasets.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -462,6 +462,16 @@ def test_non_finite_row_rejected(row):
     text = f"# source=x,self_dual=true,X=10\n3,0.1,0.0\n{row}\n"
     with pytest.raises(DatasetFormatError, match="line 3"):
         loads_csv(text)
+
+
+@pytest.mark.parametrize("bad_row", [b"5,0.\xff2,0.0", b"\xff5,0.2,0.0"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_non_utf8_file_names_its_line(tmp_path, newline, bad_row):
+    # the line is numbered as loads_csv numbers lines, whatever the line ending
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join([b"# source=x,self_dual=true,X=10", b"3,0.1,0.0", bad_row, b""]))
+    with pytest.raises(DatasetFormatError, match="^line 3: not UTF-8"):
+        read_csv(path)
 
 
 def test_non_integer_raw_rejected():
