@@ -82,16 +82,19 @@ def _corner_scan(t_of_densities, step: float = GRID_STEP) -> tuple[float, float,
     return value, d_a, d_b
 
 
+def _holder_scan(mass: float, power: int, q: float) -> tuple[float, float, float]:
+    """Corner scan of the threshold t with mass - t^power dB <= dB^q t^power
+    dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power)."""
+    q_a, root = 1 - q, 1 / power
+    return _corner_scan(lambda d_a, d_b: (mass / (d_b + d_b ** q * d_a ** q_a)) ** root)
+
+
 def negative_side(pole6_lower: int = POLE6) -> BoundResult:
     """Threshold t with pole6 - t^6 dB <= dB^(6/7) t^6 dA^(1/7); the worst
     case dA = dB = 1 gives t = (pole6/2)^(1/6)."""
     if pole6_lower < 1:
         raise ParameterError("pole6_lower must be >= 1")
-
-    def admissible(d_a, d_b):
-        return (pole6_lower / (d_b + d_b ** (6 / 7) * d_a ** (1 / 7))) ** (1 / 6)
-
-    scanned, d_a, d_b = _corner_scan(admissible)
+    scanned, d_a, d_b = _holder_scan(pole6_lower, 6, 6 / 7)
     constant = (pole6_lower / 2) ** (1 / 6)
     trace = (
         f"sixth-power sums carry at least {pole6_lower} units of pole mass; the "
@@ -108,11 +111,7 @@ def negative_side(pole6_lower: int = POLE6) -> BoundResult:
 def positive_side_weak() -> BoundResult:
     """Cross-check value 1/sqrt(2) from running the contradiction argument
     on the positive side with the simple k=2 pole and cubic Hoelder."""
-
-    def admissible(d_a, d_b):
-        return math.sqrt(1.0 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
-
-    scanned, d_a, d_b = _corner_scan(admissible)
+    scanned, d_a, d_b = _holder_scan(1.0, 2, 2 / 3)
     constant = 1 / math.sqrt(2)
     trace = (
         "square sums carry one unit of pole mass; cubic sums are O(1); Hoelder "
@@ -128,11 +127,7 @@ def non_self_dual(phi: float) -> BoundResult:
     not affect the constant."""
     if not 0.0 <= phi <= math.pi:
         raise ParameterError(f"phi must lie in [0, pi], got {phi}")
-
-    def admissible(d_a, d_b):
-        return math.sqrt(0.5 / (d_b + d_b ** (2 / 3) * d_a ** (1 / 3)))
-
-    scanned, d_a, d_b = _corner_scan(admissible)
+    scanned, d_a, d_b = _holder_scan(0.5, 2, 2 / 3)
     constant = 0.5
     trace = (
         f"rotation angle phi = {phi}; the Rankin-Selberg square sum of the "

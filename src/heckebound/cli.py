@@ -134,11 +134,11 @@ def _cmd_verify(args) -> int:
 def _cmd_probe(args) -> int:
     from . import datasets, density
 
-    dataset = datasets.read_csv(args.input)
     try:
         s_grid = [float(s) for s in args.s_grid.split(",")]
     except ValueError:
         raise ParameterError(f"--s-grid needs numbers, got {args.s_grid!r}") from None
+    dataset = datasets.read_csv(args.input)
     slope = density.pole_order_probe(dataset.records, args.k, s_grid)
     return _emit(
         args,

@@ -116,12 +116,9 @@ def primes_up_to(x: int) -> list[int]:
 def first_n_primes(n: int) -> list[int]:
     if n < 1:
         raise ParameterError("need n >= 1 primes")
+    # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices
     bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))) * 1.2) + 10
-    ps = primes_up_to(bound)
-    while len(ps) < n:
-        bound *= 2
-        ps = primes_up_to(bound)
-    return ps[:n]
+    return primes_up_to(bound)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +404,8 @@ def loads_csv(text: str) -> Dataset:
         raise DatasetFormatError(f"header missing key {exc}", line=1) from None
     except ValueError as exc:
         raise DatasetFormatError(str(exc), line=1) from None
+    if X < 0:
+        raise DatasetFormatError(f"header X={X} is negative", line=1)
     ps, a, raws = [], [], []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -433,14 +432,16 @@ def loads_csv(text: str) -> Dataset:
         a.append(z)
     p = np.array(ps, dtype=np.int64)
     primes = primes_up_to(max(ps, default=2))
-    # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
-    composite = np.flatnonzero(~np.isin(p, primes, kind="table"))
-    if len(composite):
-        i = int(composite[0])
-        rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
-        lineno = next(itertools.islice(rows, i, None))
-        raise DatasetFormatError(f"p = {ps[i]} is not prime", line=lineno)
-    try:
-        return Dataset(header, Records(p, a, raws if width == 4 else None))
-    except DatasetError as exc:
-        raise DatasetFormatError(str(exc)) from None
+    faults = (
+        # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
+        (~np.isin(p, primes, kind="table"), "p = {} is not prime"),
+        (np.diff(p, prepend=0) <= 0, "records must be sorted strictly increasing in p >= 2"),
+        (p > X, f"record prime {{}} exceeds header X={X}"),
+    )
+    for mask, message in faults:
+        if mask.any():
+            i = int(np.argmax(mask))
+            rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+            lineno = next(itertools.islice(rows, i, None))
+            raise DatasetFormatError(message.format(ps[i]), line=lineno)
+    return Dataset(header, Records(p, a, raws if width == 4 else None))

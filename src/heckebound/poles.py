@@ -19,7 +19,6 @@ from .assumptions import RepType, TypeAssumption
 from .errors import MonomialExcludedError, PoleError, UnsupportedDegreeError
 from .repring import (
     KIND_CHAR,
-    PI,
     Atom,
     VirtualRep,
     atom_label,
@@ -104,8 +103,6 @@ def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
 def _fold_pair(x: Atom, y: Atom) -> tuple[Atom, Atom | None]:
     """Canonical display form of a pairing: all character twists move onto
     the right factor, so e.g. (Sym2*w, pi*w) renders as Sym2 x pi*w^2."""
-    if x.kind == KIND_CHAR and y.kind == KIND_CHAR:
-        return char(x.omega_power + y.omega_power, tuple(x.aux) + tuple(y.aux)), None
     if x.kind == KIND_CHAR:
         return y.twist(x.omega_power, x.aux), None
     if y.kind == KIND_CHAR:
@@ -146,31 +143,20 @@ def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertif
 
 
 def std_pole_order(A: VirtualRep, t: TypeAssumption) -> PoleCertificate:
-    """ord_{s=1} of the standard L-function of A: trivial GL(1) characters
-    contribute a simple pole, everything cuspidal contributes nothing."""
-    _check_assumption(t)
-    A = reduce_rep(A, t)
-    factors = tuple(
-        sorted(
-            (CertFactor(atom, None, mult, _pole(atom, TRIVIAL, t)) for atom, mult in A.items()),
-            key=_factor_sort_key,
-        )
-    )
-    total = sum(f.multiplicity * f.pole_contrib for f in factors)
-    return PoleCertificate(factors, total, t)
+    """ord_{s=1} of the standard L-function of A, which is L(s, A x 1): trivial
+    GL(1) characters contribute a simple pole, everything else nothing."""
+    return rs_pole_order(A, VirtualRep.of(TRIVIAL), t)
 
 
 def tensor_power_pole(k: int, t: TypeAssumption) -> PoleCertificate:
     """ord_{s=1} L(s, pi^(x k)) for 2 <= k <= 8, with the factorization
     certificate matching the displayed identities: the full symmetric-power
-    decomposition for k <= 4, pairings of half tensor powers above."""
+    decomposition for k = 3, 4, pairings of half tensor powers otherwise
+    (k = 2 pairs pi with pi)."""
     if not 2 <= k <= 8:
         raise UnsupportedDegreeError(f"tensor_power_pole supports 2 <= k <= 8, got {k}")
-    _check_assumption(t)
     note = ""
-    if k == 2:
-        cert = rs_pole_order(VirtualRep.of(PI), VirtualRep.of(PI), t)
-    elif k <= 4:
+    if k in (3, 4):
         cert = std_pole_order(tensor_power(k), t)
     else:
         cert = rs_pole_order(tensor_power(math.ceil(k / 2)), tensor_power(k // 2), t)

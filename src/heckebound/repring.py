@@ -191,9 +191,6 @@ class VirtualRep:
     def __add__(self, other: "VirtualRep") -> "VirtualRep":
         return VirtualRep.from_terms(self.terms + other.terms)
 
-    def __rmul__(self, scalar: int) -> "VirtualRep":
-        return VirtualRep.from_terms((a, scalar * m) for a, m in self.terms)
-
     def to_json(self) -> list[dict]:
         return [{"atom": atom_text(a), "mult": m} for a, m in self.terms]
 
@@ -210,40 +207,27 @@ def cg_pair(a: int, b: int) -> VirtualRep:
     """Sym^a x Sym^b = sum over j of Sym^(a+b-2j) twisted by w^j."""
     if a < 0 or b < 0:
         raise UnsupportedDegreeError("cg_pair needs non-negative degrees")
-    if a == 0 and b == 0:
-        return VirtualRep.of(char(0))
-    pieces = []
-    for j in range(min(a, b) + 1):
-        deg = a + b - 2 * j
-        pieces.append((char(j) if deg == 0 else sym(deg, j), 1))
-    return VirtualRep.from_terms(pieces)
-
-
-def _tensor_with_standard(v: VirtualRep) -> VirtualRep:
-    out: list[tuple[Atom, int]] = []
-    for atom, mult in v.items():
-        if atom.kind == KIND_CHAR:
-            out.append((sym(1, atom.omega_power, atom.aux), mult))
-            continue
-        if atom.kind == KIND_OPAQUE:
-            raise UnsupportedDegreeError("cannot tensor an opaque cuspidal atom with pi")
-        k = atom.sym_degree
-        for piece, m in cg_pair(k, 1).items():
-            out.append((piece.twist(atom.omega_power, atom.aux), mult * m))
-    return VirtualRep.from_terms(out)
+    return VirtualRep.from_terms(
+        (char(j) if a + b == 2 * j else sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1)
+    )
 
 
 def tensor_power(k: int) -> VirtualRep:
-    """Decomposition of the k-th tensor power of the standard object, 1<=k<=4."""
+    """Decomposition of the k-th tensor power of the standard object, 1<=k<=4:
+    Sym^(k-2j) twisted by w^j with multiplicity C(k,j) - C(k,j-1), which is
+    C(k,j)(k-2j+1)/(k-j+1), for 0 <= j <= k/2."""
     if not 1 <= k <= 4:
         raise UnsupportedDegreeError(
             f"tensor_power supports 1 <= k <= 4, got {k}; higher powers are "
             "handled by pairing half powers"
         )
-    v = VirtualRep.of(PI)
-    for _ in range(k - 1):
-        v = _tensor_with_standard(v)
-    return v
+    return VirtualRep.from_terms(
+        (
+            char(j) if k == 2 * j else sym(k - 2 * j, j),
+            math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1),
+        )
+        for j in range(k // 2 + 1)
+    )
 
 
 def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:

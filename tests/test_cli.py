@@ -187,6 +187,13 @@ def test_probe_bad_s_grid_exits_one(tmp_path, capsys, grid):
     assert_rejected(code, err)
 
 
+def test_probe_checks_s_grid_before_reading_the_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(capsys, "probe", "--input", missing, "--k", "2", "--s-grid", "1.5,x,1.1")
+    assert_rejected(code, err)
+    assert "--s-grid needs numbers" in err
+
+
 @pytest.mark.parametrize("argv", [["verify", "--theorem", "t1pos"], ["probe", "--k", "2"]], ids=" ".join)
 def test_non_utf8_file_exits_one(tmp_path, capsys, argv):
     path = tmp_path / "bad.csv"

@@ -50,6 +50,8 @@ def test_primes_up_to():
 
 def test_first_n_primes():
     assert first_n_primes(5) == [2, 3, 5, 7, 11]
+    for n in range(1, 7):
+        assert first_n_primes(n) == [2, 3, 5, 7, 11, 13][:n]
     assert len(first_n_primes(1000)) == 1000
 
 
@@ -283,7 +285,8 @@ def test_tau_raw_values_exact(tau_10k):
 
 
 def test_max_p_covers_every_generator_cap():
-    assert MAX_P >= max(EC_X_CAP, TAU_X_CAP, first_n_primes(ST_N_CAP)[-1])
+    assert first_n_primes(ST_N_CAP)[-1] == MAX_P
+    assert MAX_P >= max(EC_X_CAP, TAU_X_CAP)
 
 
 def test_sato_tate_cap_enforced():
@@ -494,6 +497,26 @@ def test_prime_above_max_p_rejected_before_sieve(monkeypatch):
     text = f"# source=x,self_dual=true,X={2 ** 61}\n5,0.1,0.0\n{2 ** 61 - 1},0.2,0.0\n"
     with pytest.raises(DatasetFormatError, match="line 3"):
         loads_csv(text)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("5,0.1,0.0\n3,0.2,0.0", "line 3: records must be sorted"),
+        ("5,0.1,0.0\n5,0.2,0.0", "line 3: records must be sorted"),
+        ("5,0.1,0.0\n11,0.2,0.0\n13,0.3,0.0", "line 3: record prime 11 exceeds header X=10"),
+        ("5,0.1,0.0\n\n3,0.2,0.0", "line 4: records must be sorted"),
+    ],
+    ids=["descending", "repeated", "above-x", "after-blank-line"],
+)
+def test_out_of_order_or_out_of_range_row_names_its_line(rows, message):
+    with pytest.raises(DatasetFormatError, match=f"^{message}"):
+        loads_csv(f"# source=x,self_dual=true,X=10\n{rows}\n")
+
+
+def test_negative_header_x_rejected():
+    with pytest.raises(DatasetFormatError, match="^line 1: header X=-1 is negative"):
+        loads_csv("# source=x,self_dual=true,X=-1\n")
 
 
 def test_unsorted_records_rejected():

@@ -125,6 +125,17 @@ def test_tensor_power_out_of_range(k):
         tensor_power(k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tensor_power_matches_clebsch_gordan_iteration(k):
+    # the closed form against pi^(k+1) = pi^k x pi, piece by piece
+    pieces = [
+        (piece.twist(atom.omega_power), mult * m)
+        for atom, mult in tensor_power(k).items()
+        for piece, m in cg_pair(atom.sym_degree, 1).items()
+    ]
+    assert tensor_power(k + 1) == VirtualRep.from_terms(pieces)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_tensor_power_matches_trace_power(k):
     rng = random.Random(99)
