@@ -12,13 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .assumptions import GENERAL_SELF_DUAL
 from .errors import ParameterError
+from .poles import tensor_power_pole
 
-#: pole orders at s=1 of L(s, pi^(x k)) for general self-dual pi: k = 4,
-#: k = 8, and the lower bound used at k = 6
-POLE4, POLE8, POLE6 = 2, 14, 5
-#: theorems `density.verify_theorem` checks, and its default slack
-THEOREMS = ("t1pos", "t1neg", "t2")
+#: pole orders at s=1 of L(s, pi^(x k)) for general self-dual pi, read from
+#: the ledger: k = 4, k = 8, and k = 6, the lower bound negative_side uses
+POLE4, POLE8, POLE6 = (tensor_power_pole(k, GENERAL_SELF_DUAL).total_order for k in (4, 8, 6))
+#: theorem -> (sign, bound) for `density.verify_theorem`; each bound looks up
+#: this module's function when called, so a replaced function is the one used
+THEOREMS = {
+    "t1pos": (1, lambda phi: positive_side()),
+    "t1neg": (-1, lambda phi: negative_side()),
+    "t2": (1, lambda phi: non_self_dual(phi)),
+}
 DEFAULT_EPSILON = 0.01
 
 BISECTION_TOL = 1e-12

@@ -86,6 +86,10 @@ class DatasetHeader:
     self_dual: bool
     X: int
 
+    def __post_init__(self):
+        if self.X < 0:
+            raise DatasetError(f"header X={self.X} is negative")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -292,10 +296,11 @@ def tau_ap(X: int) -> Dataset:
     checked against Deligne's bound |tau(p)| <= 2 p^(11/2)."""
     taus = tau_coefficients(X)
     ps = primes_up_to(X)
-    for p in ps:
-        if taus[p - 1] ** 2 > 4 * p ** 11:
-            raise DatasetError(f"tau({p}) = {taus[p - 1]} exceeds Deligne's bound 2 p^(11/2)")
-    records = Records(ps, [taus[p - 1] / p ** 5.5 for p in ps], [taus[p - 1] for p in ps])
+    raw = [taus[p - 1] for p in ps]
+    for p, tau in zip(ps, raw):
+        if tau ** 2 > 4 * p ** 11:
+            raise DatasetError(f"tau({p}) = {tau} exceeds Deligne's bound 2 p^(11/2)")
+    records = Records(ps, [tau / p ** 5.5 for p, tau in zip(ps, raw)], raw)
     return Dataset(DatasetHeader(f"tau[X={X}]", True, X), records)
 
 
@@ -402,10 +407,8 @@ def loads_csv(text: str) -> Dataset:
         header = DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), X)
     except KeyError as exc:
         raise DatasetFormatError(f"header missing key {exc}", line=1) from None
-    except ValueError as exc:
+    except (ValueError, DatasetError) as exc:
         raise DatasetFormatError(str(exc), line=1) from None
-    if X < 0:
-        raise DatasetFormatError(f"header X={X} is negative", line=1)
     ps, a, raws = [], [], []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):

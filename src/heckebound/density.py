@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds
 from .bounds import DEFAULT_EPSILON, THEOREMS
 from .datasets import Records
 from .errors import DatasetError, ParameterError
@@ -30,6 +29,14 @@ def _require_records(records: Records) -> None:
         raise DatasetError("empty dataset")
 
 
+def _rotated(records: Records, phi: float) -> np.ndarray:
+    """Re(a_p e^{i phi}) over a non-empty dataset and a finite phi."""
+    _require_records(records)
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi}")
+    return (records.a * cmath.exp(1j * phi)).real
+
+
 def operating_point(records: Records) -> float:
     """s = 1 + 1/log X with X the largest prime in the data."""
     _require_records(records)
@@ -38,14 +45,11 @@ def operating_point(records: Records) -> float:
 
 def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float:
     """Sum over the dataset of Re(a_p e^{i phi})^k / p^s."""
-    _require_records(records)
+    vals = _rotated(records, phi)
     if k < 0:
         raise ParameterError(f"need k >= 0, got {k}")
     if not (math.isfinite(s) and s > 1.0):
         raise ParameterError(f"need finite s > 1, got {s}")
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi}")
-    vals = (records.a * cmath.exp(1j * phi)).real
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
     if not math.isfinite(total):
@@ -75,14 +79,11 @@ def density_profile(
 ) -> DensityReport:
     """Proportion of primes with Re(a_p e^{i phi}) > c ('above') or < -c
     ('below'), both natural and weighted by p^-s at s = 1 + 1/log X."""
-    _require_records(records)
+    vals = _rotated(records, phi)
     if not (math.isfinite(c) and c >= 0):
         raise ParameterError(f"threshold must be finite and >= 0, got {c}")
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi}")
     if side not in ("above", "below"):
         raise ParameterError(f"side must be 'above' or 'below', got {side!r}")
-    vals = (records.a * cmath.exp(1j * phi)).real
     mask = vals > c if side == "above" else vals < -c
     s = operating_point(records)
     weights = np.power(records.p, -s, dtype=float)
@@ -139,30 +140,20 @@ def verify_theorem(
     epsilon: float = DEFAULT_EPSILON,
     self_dual: bool = True,
 ) -> TheoremReport:
-    """Count qualifying primes for the requested one-sided bound and pass if
-    at least 1% of the records qualify (the desk-scale existence proxy)."""
-    _require_records(records)
+    """Count the primes with sign * Re(a_p e^{i phi}) > c - epsilon, the sign
+    and constant c from bounds.THEOREMS (for sign -1, exactly Re < -c + epsilon),
+    and pass if at least 1% of the records qualify (the desk-scale proxy)."""
+    vals = _rotated(records, phi)
     if theorem not in THEOREMS:
-        raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi}")
+        raise ParameterError(f"unknown theorem {theorem!r}; choose from {tuple(THEOREMS)}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if theorem in ("t1pos", "t1neg") and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
-    vals = (records.a * cmath.exp(1j * phi)).real
-    if theorem == "t1pos":
-        threshold = bounds.positive_side().constant
-        mask = vals > threshold - epsilon
-        extremity = vals
-    elif theorem == "t1neg":
-        threshold = -bounds.negative_side().constant
-        mask = vals < threshold + epsilon
-        extremity = -vals
-    else:
-        threshold = bounds.non_self_dual(phi).constant
-        mask = vals > threshold - epsilon
-        extremity = vals
+    sign, bound = THEOREMS[theorem]
+    constant = bound(phi).constant
+    extremity = sign * vals
+    mask = extremity > constant - epsilon
     idx = np.nonzero(mask)[0]
     top = idx[np.argsort(-extremity[idx])][:10]
     witnesses = tuple((int(records.p[i]), float(vals[i])) for i in top)
@@ -170,7 +161,7 @@ def verify_theorem(
     required = math.floor(WITNESS_FRACTION * len(records))
     return TheoremReport(
         theorem=theorem,
-        threshold=float(threshold),
+        threshold=float(sign * constant),
         epsilon=epsilon,
         phi=phi,
         count=count,

@@ -13,7 +13,7 @@ order of the central character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .assumptions import RepType, TypeAssumption
 from .errors import MonomialExcludedError, PoleError, UnsupportedDegreeError
@@ -124,8 +124,8 @@ def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertif
     A = reduce_rep(A, t)
     B = reduce_rep(B, t)
     acc: dict[tuple[Atom, Atom | None], list[int]] = {}
-    for x, mx in A.items():
-        for y, my in B.items():
+    for x, mx in A.terms:
+        for y, my in B.terms:
             folded = _fold_pair(x, y)
             pole = _pole(x, y, t)
             entry = acc.setdefault(folded, [0, pole])
@@ -155,17 +155,15 @@ def tensor_power_pole(k: int, t: TypeAssumption) -> PoleCertificate:
     (k = 2 pairs pi with pi)."""
     if not 2 <= k <= 8:
         raise UnsupportedDegreeError(f"tensor_power_pole supports 2 <= k <= 8, got {k}")
-    note = ""
     if k in (3, 4):
-        cert = std_pole_order(tensor_power(k), t)
-    else:
-        cert = rs_pole_order(tensor_power(math.ceil(k / 2)), tensor_power(k // 2), t)
-        if k == 5:
-            note = "k=5: derived for table completeness; no published reference value"
-        elif k == 6 and t.rep_type is RepType.OCTAHEDRAL:
-            note = "k=6 octahedral: derived from cuspidal Sym3; no published reference value"
-    if note:
-        cert = PoleCertificate(cert.factors, cert.total_order, cert.assumption, note)
+        return std_pole_order(tensor_power(k), t)
+    cert = rs_pole_order(tensor_power(math.ceil(k / 2)), tensor_power(k // 2), t)
+    if k == 5:
+        note = "k=5: derived for table completeness; no published reference value"
+        return replace(cert, note=note)
+    if k == 6 and t.rep_type is RepType.OCTAHEDRAL:
+        note = "k=6 octahedral: derived from cuspidal Sym3; no published reference value"
+        return replace(cert, note=note)
     return cert
 
 

@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .assumptions import RepType, TypeAssumption
 from .errors import (
@@ -181,9 +181,6 @@ class VirtualRep:
         )
         return VirtualRep(canon)
 
-    def items(self) -> Iterator[tuple[Atom, int]]:
-        return iter(self.terms)
-
     @property
     def dim(self) -> int:
         return sum(m * a.dim for a, m in self.terms)
@@ -193,10 +190,6 @@ class VirtualRep:
 
     def to_json(self) -> list[dict]:
         return [{"atom": atom_text(a), "mult": m} for a, m in self.terms]
-
-    @staticmethod
-    def from_json(data: Iterable[Mapping]) -> "VirtualRep":
-        return VirtualRep.from_terms((parse_atom(d["atom"]), int(d["mult"])) for d in data)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +260,8 @@ def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:
 
 def reduce_rep(v: VirtualRep, t: TypeAssumption) -> VirtualRep:
     out: list[tuple[Atom, int]] = []
-    for atom, mult in v.items():
-        for piece, m in reduce_atom(atom, t).items():
+    for atom, mult in v.terms:
+        for piece, m in reduce_atom(atom, t).terms:
             out.append((piece, mult * m))
     return VirtualRep.from_terms(out)
 
@@ -326,7 +319,7 @@ def eval_atom(a: Atom, s: SatakePoint) -> complex:
 
 
 def eval_char(v: VirtualRep, s: SatakePoint) -> complex:
-    return sum((mult * eval_atom(atom, s) for atom, mult in v.items()), 0j)
+    return sum((mult * eval_atom(atom, s) for atom, mult in v.terms), 0j)
 
 
 def power_sum(a_p: complex, omega_p: complex, k: int) -> complex:
@@ -340,17 +333,6 @@ def power_sum(a_p: complex, omega_p: complex, k: int) -> complex:
     for _ in range(k - 1):
         prev, cur = cur, a_p * cur - omega_p * prev
     return cur
-
-
-def power_expansion(m: int) -> tuple[list[tuple[int, int]], int]:
-    """Coefficients of a_p^m as a combination of power sums with trivial
-    central character: a^m = sum of C(m,j) * p_(m-2j) over j < m/2, plus
-    C(m, m/2) for even m.  Returns ([(m-2j, C(m,j)), ...], center)."""
-    if m < 0:
-        raise AlgebraError("power_expansion needs m >= 0")
-    terms = [(m - 2 * j, math.comb(m, j)) for j in range((m + 1) // 2)]
-    center = math.comb(m, m // 2) if m % 2 == 0 else 0
-    return terms, center
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +374,7 @@ def atom_label(a: Atom) -> str:
 def rep_label(v: VirtualRep) -> str:
     """Human-oriented rendering of a virtual representation, e.g.
     'Sym3 ⊕ 2·pi⊗w'."""
-    parts = [atom_label(a) if m == 1 else f"{m}·{atom_label(a)}" for a, m in v.items()]
+    parts = [atom_label(a) if m == 1 else f"{m}·{atom_label(a)}" for a, m in v.terms]
     return " ⊕ ".join(parts) if parts else "0"
 
 

@@ -519,6 +519,17 @@ def test_negative_header_x_rejected():
         loads_csv("# source=x,self_dual=true,X=-1\n")
 
 
+def test_negative_header_x_rejected_without_rows():
+    # with no rows there is no prime to name: the header itself is at fault
+    with pytest.raises(DatasetError, match="^header X=-1 is negative$"):
+        Dataset(DatasetHeader("x", True, -1), Records([], []))
+
+
+def test_bad_self_dual_header_value_names_its_line():
+    with pytest.raises(DatasetFormatError, match="^line 1: expected true/false, got 'maybe'$"):
+        loads_csv("# source=x,self_dual=maybe,X=10\n5,0.1,0.0\n")
+
+
 def test_unsorted_records_rejected():
     with pytest.raises(DatasetError):
         Dataset(DatasetHeader("x", True, 10), Records([5, 3], [0.1, 0.2]))

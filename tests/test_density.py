@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from heckebound.bounds import negative_side, non_self_dual, positive_side
 from heckebound.datasets import Records, first_n_primes
 from heckebound.density import (
     density_profile,
@@ -228,3 +231,30 @@ def test_verify_witnesses_sorted_by_extremity():
     values = [v for _, v in report.witnesses]
     assert values == sorted(values, reverse=True)
     assert report.witnesses[0][0] == 2  # the largest value sits at the first prime
+
+
+BOUNDARY_ENTRIES = st.sampled_from(["c-eps", "-c+eps"])
+
+
+@given(
+    st.sampled_from(["t1pos", "t1neg", "t2"]),
+    st.lists(st.one_of(st.complex_numbers(max_magnitude=3), BOUNDARY_ENTRIES), min_size=1, max_size=40),
+    st.one_of(st.just(0.0), st.floats(0, math.pi)),
+    st.floats(0, 0.5),
+)
+def test_verify_counts_follow_the_written_out_one_sided_rules(theorem, entries, phi, eps):
+    # t1pos and t2 count v > c - eps, t1neg counts v < -c + eps; the placed
+    # entries sit exactly on those boundaries when phi = 0
+    bound = {"t1pos": positive_side, "t1neg": negative_side, "t2": lambda: non_self_dual(phi)}
+    c = bound[theorem]().constant
+    placed = {"c-eps": c - eps, "-c+eps": -c + eps}
+    a = [placed.get(e, e) for e in entries]
+    records = Records(first_n_primes(len(a)), a)
+    v = (np.array(a, dtype=complex) * cmath.exp(1j * phi)).real
+    report = verify_theorem(records, theorem, phi=phi, epsilon=eps)
+    if theorem == "t1neg":
+        assert report.count == sum(x < -c + eps for x in v)
+        assert report.threshold == -c
+    else:
+        assert report.count == sum(x > c - eps for x in v)
+        assert report.threshold == c
