@@ -10,6 +10,7 @@ by an explicit grid scan rather than assumed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .assumptions import GENERAL_SELF_DUAL
@@ -27,6 +28,9 @@ THEOREMS = {
     "t2": (1, lambda phi: non_self_dual(phi)),
 }
 DEFAULT_EPSILON = 0.01
+
+#: the largest pole orders whose arithmetic stays in doubles (pole4 enters d^5)
+MAX_POLE, MAX_POLE4 = sys.float_info.max, 10**61
 
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
@@ -56,6 +60,9 @@ def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
     located by bisection on the unique crossing of the two branches."""
     if pole4 < 1 or pole8 < 1:
         raise ParameterError("pole orders must be >= 1")
+    if pole4 > MAX_POLE4 or pole8 > MAX_POLE:
+        need = f"pole4 <= {MAX_POLE4:.0e}, pole8 <= {MAX_POLE:.4g}"
+        raise ParameterError(f"pole orders overflow a double: need {need}")
     lo, hi = 0.0, float(pole4)
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo < BISECTION_TOL:
@@ -101,6 +108,8 @@ def negative_side(pole6_lower: int = POLE6) -> BoundResult:
     case dA = dB = 1 gives t = (pole6/2)^(1/6)."""
     if pole6_lower < 1:
         raise ParameterError("pole6_lower must be >= 1")
+    if pole6_lower > MAX_POLE:
+        raise ParameterError(f"pole6_lower overflows a double: need <= {MAX_POLE:.4g}")
     scanned, d_a, d_b = _holder_scan(pole6_lower, 6, 6 / 7)
     constant = (pole6_lower / 2) ** (1 / 6)
     trace = (

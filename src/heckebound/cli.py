@@ -35,13 +35,6 @@ def _emit(args, payload, *lines: str) -> int:
     return 0
 
 
-def _assumption_from_args(args) -> TypeAssumption:
-    omega_order = args.omega_order
-    if omega_order is None:
-        omega_order = 1 if args.self_dual else 2
-    return TypeAssumption(RepType(args.type), args.self_dual, omega_order)
-
-
 def _cmd_decompose(args) -> int:
     if args.pair is not None:
         rep = repring.cg_pair(*args.pair)
@@ -51,16 +44,18 @@ def _cmd_decompose(args) -> int:
         title = f"pi^⊗{args.k}"
     elif args.atom is not None:
         atom = repring.parse_atom(args.atom)
-        assumption = _assumption_from_args(args)
-        rep = repring.reduce_atom(atom, assumption)
-        title = f"reduce({repring.atom_label(atom)}, {assumption.rep_type.value})"
+        rep = repring.reduce_atom(atom, TypeAssumption(RepType(args.type)))
+        title = f"reduce({repring.atom_label(atom)}, {args.type})"
     else:
         raise DomainError("decompose needs one of --k, --pair, --atom")
     return _emit(args, rep.to_json(), f"{title} = {repring.rep_label(rep)}")
 
 
 def _cmd_poles(args) -> int:
-    assumption = _assumption_from_args(args)
+    omega_order = args.omega_order
+    if omega_order is None:
+        omega_order = 1 if args.self_dual else 2
+    assumption = TypeAssumption(RepType(args.type), args.self_dual, omega_order)
     cert = poles.tensor_power_pole(args.k, assumption)
     return _emit(
         args,
@@ -147,15 +142,13 @@ def _cmd_probe(args) -> int:
     )
 
 
-def _add_assumption_flags(sub) -> None:
+def _add_type_flag(sub) -> None:
     sub.add_argument(
         "--type",
         choices=[t.value for t in RepType],
         default="general",
         help="representation type assumption",
     )
-    sub.add_argument("--self-dual", dest="self_dual", type=_bool_flag, default=True)
-    sub.add_argument("--omega-order", dest="omega_order", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,13 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--k", type=int, help="decompose the k-th tensor power (1..4)")
     target.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="Sym^A x Sym^B")
     target.add_argument("--atom", type=str, help="reduce one atom, e.g. 'Sym3(pi)*w^-1'")
-    _add_assumption_flags(p)
+    _add_type_flag(p)  # reduce_atom reads only the type
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
     p = subs.add_parser("poles", help="pole order of L(s, pi^(x k)) at s=1")
     p.add_argument("--k", type=int, required=True)
-    _add_assumption_flags(p)
+    _add_type_flag(p)
+    p.add_argument("--self-dual", dest="self_dual", type=_bool_flag, default=True)
+    p.add_argument("--omega-order", dest="omega_order", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_poles)
 

@@ -16,7 +16,6 @@ that a normalization other than `unitary` is rejected.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -48,7 +47,8 @@ CURVE_11A1 = (-13392, -1080432)
 class Records:
     """Per-prime columns: p (int64, at least 2, strictly increasing), a
     (complex128, finite) and a_raw (None, or one exact int per prime, since
-    tau(p) exceeds int64 and the float mantissa).  Arrays are read-only."""
+    tau(p) exceeds int64 and the float mantissa).  Arrays are read-only.  A
+    bad p or a is reported at its first row (`DatasetError.row`)."""
 
     p: np.ndarray
     a: np.ndarray
@@ -59,10 +59,14 @@ class Records:
         raw = None if self.a_raw is None else tuple(self.a_raw)
         if p.ndim != 1 or a.shape != p.shape or (raw is not None and len(raw) != len(p)):
             raise DatasetError("record columns must be one-dimensional and of equal length")
-        if len(p) and (p[0] < 2 or np.any(p[1:] <= p[:-1])):
-            raise DatasetError("records must be sorted strictly increasing in p >= 2")
-        if not np.isfinite(a).all():
-            raise DatasetError("eigenvalues must be finite")
+        unsorted = np.diff(p, prepend=1) <= 0  # p[0] < 2 is out of order too
+        if unsorted.any():
+            message = "records must be sorted strictly increasing in p >= 2"
+            raise DatasetError(message, row=int(np.argmax(unsorted)))
+        finite = np.isfinite(a)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DatasetError(f"eigenvalue at p = {p[row]} is not finite", row=row)
         if raw is not None and not all(isinstance(v, int) for v in raw):
             raise DatasetError("raw eigenvalues must be exact integers")
         p.setflags(write=False)
@@ -97,9 +101,10 @@ class Dataset:
     records: Records
 
     def __post_init__(self):
-        top = self.records.p[-1] if len(self.records) else 0
-        if top > self.header.X:
-            raise DatasetError(f"record prime {top} exceeds header X={self.header.X}")
+        p, X = self.records.p, self.header.X
+        if len(p) and p[-1] > X:
+            row = int(np.argmax(p > X))
+            raise DatasetError(f"record prime {p[row]} exceeds header X={X}", row=row)
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +434,17 @@ def loads_csv(text: str) -> Dataset:
         # the range check comes before p sizes an int64 array or a sieve
         if not 2 <= p <= MAX_P:
             raise DatasetFormatError(f"p = {p} is outside 2..{MAX_P}", line=lineno)
-        if not cmath.isfinite(z):
-            raise DatasetFormatError(f"eigenvalue at p = {p} is not finite", line=lineno)
         ps.append(p)
         a.append(z)
     p = np.array(ps, dtype=np.int64)
-    primes = primes_up_to(max(ps, default=2))
-    faults = (
-        # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
-        (~np.isin(p, primes, kind="table"), "p = {} is not prime"),
-        (np.diff(p, prepend=0) <= 0, "records must be sorted strictly increasing in p >= 2"),
-        (p > X, f"record prime {{}} exceeds header X={X}"),
-    )
-    for mask, message in faults:
-        if mask.any():
-            i = int(np.argmax(mask))
-            rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
-            lineno = next(itertools.islice(rows, i, None))
-            raise DatasetFormatError(message.format(ps[i]), line=lineno)
-    return Dataset(header, Records(p, a, raws if width == 4 else None))
+    # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
+    composite = ~np.isin(p, primes_up_to(max(ps, default=2)), kind="table")
+    try:
+        if composite.any():
+            row = int(np.argmax(composite))
+            raise DatasetError(f"p = {ps[row]} is not prime", row=row)
+        return Dataset(header, Records(p, a, raws if width == 4 else None))
+    except DatasetError as exc:  # each fault names its row; the file names the row's line
+        rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        line = next(itertools.islice(rows, exc.row, None))
+        raise DatasetFormatError(str(exc), line=line) from None

@@ -51,7 +51,10 @@ def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float
     if not (math.isfinite(s) and s > 1.0):
         raise ParameterError(f"need finite s > 1, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
+        try:
+            total = float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
+        except OverflowError:  # numpy takes a k past int64 as a double, and this one overflows
+            total = math.inf
     if not math.isfinite(total):
         raise ParameterError(f"the k={k} power sum overflows a double")
     return total

@@ -38,7 +38,12 @@ class ParameterError(DomainError):
 
 
 class DatasetError(DomainError):
-    """Problems generating or ingesting eigenvalue datasets."""
+    """Problems generating or ingesting eigenvalue datasets; `row` is the
+    index of the first offending record, when one is at fault."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class SingularCurveError(DatasetError):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from .assumptions import RepType, TypeAssumption
 from .errors import MonomialExcludedError, PoleError, UnsupportedDegreeError
 from .repring import (
-    KIND_CHAR,
     Atom,
     VirtualRep,
     atom_label,
@@ -76,13 +75,6 @@ class PoleCertificate:
         return out
 
 
-def _check_assumption(t: TypeAssumption) -> None:
-    if t.rep_type is RepType.DIHEDRAL:
-        raise MonomialExcludedError(
-            "monomial (dihedral) representations are excluded from pole queries"
-        )
-
-
 TRIVIAL = char(0)
 
 
@@ -102,10 +94,11 @@ def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
 
 def _fold_pair(x: Atom, y: Atom) -> tuple[Atom, Atom | None]:
     """Canonical display form of a pairing: all character twists move onto
-    the right factor, so e.g. (Sym2*w, pi*w) renders as Sym2 x pi*w^2."""
-    if x.kind == KIND_CHAR:
+    the right factor, so e.g. (Sym2*w, pi*w) renders as Sym2 x pi*w^2, and
+    a pairing with a character (the one dimension-1 atom) is a standard factor."""
+    if x.dim == 1:
         return y.twist(x.omega_power, x.aux), None
-    if y.kind == KIND_CHAR:
+    if y.dim == 1:
         return x.twist(y.omega_power, y.aux), None
     left, right = sorted((x, y), key=lambda a: a.sort_key())
     folded_right = right.twist(left.omega_power, left.aux)
@@ -120,7 +113,9 @@ def _factor_sort_key(f: CertFactor):
 def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertificate:
     """ord_{s=1} of the Rankin-Selberg L-function of A x B, expanded
     bilinearly over atom pairs."""
-    _check_assumption(t)
+    if t.rep_type is RepType.DIHEDRAL:
+        message = "monomial (dihedral) representations are excluded from pole queries"
+        raise MonomialExcludedError(message)
     A = reduce_rep(A, t)
     B = reduce_rep(B, t)
     acc: dict[tuple[Atom, Atom | None], list[int]] = {}

@@ -1,14 +1,15 @@
 """Symbolic algebra of GL(2) tensor/symmetric powers with numeric evaluation.
 
-Atoms are irreducible pieces: Sym^k of the standard 2-dim object, GL(1)
-characters built from the central character w and the auxiliary order-3
-character mu, or the opaque cuspidal labels pi_chi and its dual pi_chi_bar.
-VirtualRep is a formal integer combination of atoms.  The vocabulary is
-fixed in read-only tables (AUX_ORDERS, OPAQUE_DUALS), so the module holds
-no mutable state; all values are immutable and every operation is a pure
-function, so the module is safe for unrestricted parallel use.  `dual` is
-the contragredient the pole ledger's one rule rests on; atom_text is the
-parseable rendering, atom_label and rep_label the display forms.
+Atoms are irreducible pieces: Sym^k of the standard 2-dim object or the
+opaque cuspidal labels pi_chi and its dual pi_chi_bar, twisted by the
+central character w and the auxiliary order-3 character mu.  A GL(1)
+character is Sym^0 so twisted.  VirtualRep is a formal integer combination
+of atoms.  The vocabulary is fixed in read-only tables (AUX_ORDERS,
+OPAQUE_DUALS), so the module holds no mutable state; all values are
+immutable and every operation is a pure function, so the module is safe
+for unrestricted parallel use.  `dual` is the contragredient the pole
+ledger's one rule rests on; atom_text is the parseable rendering,
+atom_label and rep_label the display forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 )
 
 KIND_SYM = "SymPow"
-KIND_CHAR = "Gl1Char"
 KIND_OPAQUE = "OpaqueCuspidal"
 
 # Satake parameters are unconditionally bounded by p^(7/64).
@@ -78,8 +78,8 @@ def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...
 
 @dataclass(frozen=True)
 class Atom:
-    """One irreducible building block: Sym^k, a GL(1) character, or an
-    opaque cuspidal label, times w^a and an auxiliary character."""
+    """One irreducible building block: Sym^k (k = 0 is a GL(1) character)
+    or an opaque cuspidal label, times w^a and an auxiliary character."""
 
     kind: str
     sym_degree: int = 0
@@ -90,11 +90,8 @@ class Atom:
     def __post_init__(self):
         object.__setattr__(self, "aux", _canonical_aux(self.aux))
         if self.kind == KIND_SYM:
-            if self.sym_degree < 1:
-                raise AlgebraError("SymPow atoms need sym_degree >= 1")
-        elif self.kind == KIND_CHAR:
-            if self.sym_degree:
-                raise AlgebraError("Gl1Char atoms carry no sym_degree")
+            if self.sym_degree < 0:
+                raise AlgebraError("SymPow atoms need sym_degree >= 0")
         elif self.kind == KIND_OPAQUE:
             opaque_dual(self.opaque_label)
         else:
@@ -102,11 +99,7 @@ class Atom:
 
     @property
     def dim(self) -> int:
-        if self.kind == KIND_SYM:
-            return self.sym_degree + 1
-        if self.kind == KIND_CHAR:
-            return 1
-        return OPAQUE_DIM
+        return self.sym_degree + 1 if self.kind == KIND_SYM else OPAQUE_DIM
 
     def twist(self, omega_delta: int = 0, aux: Iterable[tuple[str, int]] = ()) -> "Atom":
         return Atom(
@@ -122,7 +115,8 @@ class Atom:
         return Atom(self.kind, self.sym_degree, 0, (), self.opaque_label)
 
     def sort_key(self):
-        rank = {KIND_SYM: 0, KIND_OPAQUE: 1, KIND_CHAR: 2}[self.kind]
+        # characters (Sym^0) rank last, after the opaque labels
+        rank = 2 if self.dim == 1 else int(self.kind == KIND_OPAQUE)
         return (rank, -self.sym_degree, self.opaque_label, self.omega_power, self.aux)
 
 
@@ -131,7 +125,8 @@ def sym(degree: int, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Ato
 
 
 def char(omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    return Atom(KIND_CHAR, 0, omega, tuple(aux))
+    """The GL(1) character w^omega times aux, which is Sym^0 so twisted."""
+    return sym(0, omega, aux)
 
 
 def opaque(label: str, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
@@ -148,12 +143,10 @@ def aux_inverse(aux: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]
 
 
 def dual(a: Atom) -> Atom:
-    """Contragredient: Sym^k picks up w^-k, characters invert, opaque labels
-    go to their dual partner in OPAQUE_DUALS."""
+    """Contragredient: Sym^k picks up w^-k (so characters invert), opaque
+    labels go to their dual partner in OPAQUE_DUALS."""
     if a.kind == KIND_SYM:
         return Atom(KIND_SYM, a.sym_degree, -a.sym_degree - a.omega_power, aux_inverse(a.aux))
-    if a.kind == KIND_CHAR:
-        return Atom(KIND_CHAR, 0, -a.omega_power, aux_inverse(a.aux))
     return Atom(KIND_OPAQUE, 0, -a.omega_power, aux_inverse(a.aux), opaque_dual(a.opaque_label))
 
 
@@ -200,9 +193,7 @@ def cg_pair(a: int, b: int) -> VirtualRep:
     """Sym^a x Sym^b = sum over j of Sym^(a+b-2j) twisted by w^j."""
     if a < 0 or b < 0:
         raise UnsupportedDegreeError("cg_pair needs non-negative degrees")
-    return VirtualRep.from_terms(
-        (char(j) if a + b == 2 * j else sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1)
-    )
+    return VirtualRep.from_terms((sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
 
 
 def tensor_power(k: int) -> VirtualRep:
@@ -215,10 +206,7 @@ def tensor_power(k: int) -> VirtualRep:
             "handled by pairing half powers"
         )
     return VirtualRep.from_terms(
-        (
-            char(j) if k == 2 * j else sym(k - 2 * j, j),
-            math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1),
-        )
+        (sym(k - 2 * j, j), math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1))
         for j in range(k // 2 + 1)
     )
 
@@ -300,8 +288,6 @@ def eval_atom(a: Atom, s: SatakePoint) -> complex:
     if a.kind == KIND_SYM:
         k = a.sym_degree
         value = sum(s.alpha ** (k - j) * s.beta ** j for j in range(k + 1))
-    elif a.kind == KIND_CHAR:
-        value = 1.0
     else:
         try:
             value = complex(s.opaque_values[a.opaque_label])
@@ -351,17 +337,17 @@ def _twists(a: Atom) -> list[str]:
 def atom_text(a: Atom) -> str:
     """Parseable rendering, inverse of parse_atom."""
     parts = _twists(a)
-    if a.kind == KIND_SYM:
-        parts.insert(0, "pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}(pi)")
-    elif a.kind == KIND_OPAQUE:
+    if a.kind == KIND_OPAQUE:
         parts.insert(0, f"opaque:{a.opaque_label}")
+    elif a.sym_degree:
+        parts.insert(0, "pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}(pi)")
     return "*".join(parts) if parts else "1"
 
 
 def atom_label(a: Atom) -> str:
     """Human-oriented rendering used in certificates, e.g. 'Sym3', 'pi⊗w'."""
     twists = _twists(a)
-    if a.kind == KIND_CHAR:
+    if a.dim == 1:
         return "*".join(twists) if twists else "1"
     base = (
         ("pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}")
@@ -382,7 +368,7 @@ def parse_atom(text: str) -> Atom:
     text = text.strip()
     if text == "1":
         return char(0)
-    kind = KIND_CHAR
+    kind = None  # until the one Sym or opaque factor is read
     degree = 0
     label = ""
     omega = 0
@@ -391,12 +377,12 @@ def parse_atom(text: str) -> Atom:
         factor = factor.strip()
         m = _SYM_RE.match(factor)
         if m or factor == "pi":
-            if kind != KIND_CHAR:
+            if kind is not None:
                 raise AlgebraError(f"more than one base object in {text!r}")
             kind, degree = KIND_SYM, int(m.group(1)) if m else 1
             continue
         if factor.startswith("opaque:"):
-            if kind != KIND_CHAR:
+            if kind is not None:
                 raise AlgebraError(f"more than one base object in {text!r}")
             kind, label = KIND_OPAQUE, factor[len("opaque:"):]
             opaque_dual(label)
@@ -410,4 +396,6 @@ def parse_atom(text: str) -> Atom:
         else:
             aux_order(name)
             aux.append((name, exp))
-    return Atom(kind, degree, omega, tuple(aux), label)
+    if kind == KIND_SYM and degree < 1:
+        raise AlgebraError("SymPow atoms need sym_degree >= 1")
+    return Atom(kind or KIND_SYM, degree, omega, tuple(aux), label)

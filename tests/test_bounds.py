@@ -138,6 +138,27 @@ def test_negative_side_rejects_bad_input():
         negative_side(0)
 
 
+@pytest.mark.parametrize(
+    "bound, orders",
+    [
+        (positive_side, (10**62, 14)),  # d^5 overflows in the eighth-power branch
+        (positive_side, (10**400, 14)),
+        (positive_side, (2, 10**400)),
+        (negative_side, (10**400,)),
+    ],
+    ids=["pole4=1e62", "pole4=1e400", "pole8=1e400", "pole6=1e400"],
+)
+def test_pole_orders_past_a_double_are_rejected(bound, orders):
+    with pytest.raises(ParameterError, match="overflows? a double"):
+        bound(*orders)
+
+
+def test_pole_orders_inside_a_double_still_give_constants():
+    assert math.isfinite(positive_side(10**61, 14).constant)
+    assert math.isfinite(positive_side(2, 10**300).constant)
+    assert negative_side(10**300).constant == (10**300 / 2) ** (1 / 6)
+
+
 def test_weak_positive_value():
     result = positive_side_weak()
     assert result.constant == pytest.approx(1 / math.sqrt(2), abs=1e-12)

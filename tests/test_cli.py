@@ -286,6 +286,49 @@ def test_bad_argv_numbers_exit_one(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--side", "pos", "--pole4", str(10**62)],
+        ["bounds", "--side", "pos", "--pole4", str(10**400)],
+        ["bounds", "--side", "pos", "--pole8", str(10**400)],
+        ["bounds", "--side", "neg", "--pole6", str(10**400)],
+        ["probe", "--k", str(10**400)],
+    ],
+    ids=["pole4=1e62", "pole4=1e400", "pole8=1e400", "pole6=1e400", "probe-k=1e400"],
+)
+def test_argv_integers_past_a_double_exit_one(tmp_path, capsys, argv):
+    path = tmp_path / "small.csv"
+    path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
+    code, out, err = run(capsys, *argv, *(["--input", str(path)] if argv[0] == "probe" else []))
+    assert_rejected(code, err)
+    assert out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", [["--self-dual", "false"], ["--omega-order", "3"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "target", [["--k", "2"], ["--pair", "1", "2"], ["--atom", "Sym4(pi)"]], ids=" ".join
+)
+def test_decompose_takes_no_assumption_flags_but_type(capsys, target, flag):
+    # reduce_atom reads only the representation type
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", *target, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", HELP, ids=lambda case: " ".join(case["argv"]))
+def test_help_text(monkeypatch, capsys, case):
+    """--help of the parser and of each subcommand prints the pinned text."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, case["stdout"])
+
+
 def test_decompose_conflicting_selectors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--k", "2", "--pair", "1", "1"])

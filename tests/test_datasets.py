@@ -514,6 +514,32 @@ def test_out_of_order_or_out_of_range_row_names_its_line(rows, message):
         loads_csv(f"# source=x,self_dual=true,X=10\n{rows}\n")
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "5,0.1,0.0\n3,0.2,0.0",
+        "5,0.1,0.0\n5,0.2,0.0",
+        "5,0.1,0.0\n\n3,0.2,0.0",
+        "5,0.1,0.0\n11,0.2,0.0\n13,0.3,0.0",
+        "3,0.1,0.0\n5,nan,0.0\n7,0.2,inf",
+        "3,0.1,0.0\n\n5,0.2,-inf",
+    ],
+    ids=["descending", "repeated", "after-blank-line", "above-x", "nan", "inf-after-blank-line"],
+)
+def test_reader_reports_the_model_error_at_its_line(rows):
+    # one home for each record rule: the reader only adds the row's line number
+    lines = rows.split("\n")
+    data_lines = [n for n, line in enumerate(lines, start=2) if line]
+    cells = [line.split(",") for line in lines if line]
+    p = [int(c[0]) for c in cells]
+    a = [complex(float(c[1]), float(c[2])) for c in cells]
+    with pytest.raises(DatasetError) as model:
+        Dataset(DatasetHeader("x", True, 10), Records(p, a))
+    with pytest.raises(DatasetFormatError) as reader:
+        loads_csv(f"# source=x,self_dual=true,X=10\n{rows}\n")
+    assert str(reader.value) == f"line {data_lines[model.value.row]}: {model.value}"
+
+
 def test_negative_header_x_rejected():
     with pytest.raises(DatasetFormatError, match="^line 1: header X=-1 is negative"):
         loads_csv("# source=x,self_dual=true,X=-1\n")

@@ -62,6 +62,13 @@ def test_truncated_sum_overflow_raises_without_warning():
         truncated_sum(constant_records(2.0, 10), 100_000, 1.2)
 
 
+@pytest.mark.parametrize("k", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
+def test_truncated_sum_exponent_past_int64_is_an_overflow(k):
+    # numpy takes such a k as a double; 10**400 overflows even that
+    with pytest.raises(ParameterError, match=f"^the k={k} power sum overflows a double$"):
+        truncated_sum(constant_records(2.0, 10), k, 1.2)
+
+
 def test_probe_rejects_infinite_slope_from_finite_sums():
     # every k = 1749 sum is finite, but the least-squares fit overflows
     records = constant_records(1.5, 1000)

@@ -424,8 +424,13 @@ def test_symbol_tables_are_read_only():
 
 def test_atom_invariants():
     with pytest.raises(AlgebraError):
-        Atom(repring.KIND_SYM, 0)
+        Atom(repring.KIND_SYM, -1)
     with pytest.raises(AlgebraError):
-        Atom(repring.KIND_CHAR, 2)
+        Atom("Gl1Char")
     with pytest.raises(AlgebraError):
         opaque("never_registered")
+    for j in range(-2, 3):  # a GL(1) character is the degree-0 symmetric power
+        assert char(j, MU) == sym(0, j, MU) and char(j).dim == 1
+    # characters keep their rank after the opaque labels in every listing
+    order = [PI, opaque("pi_chi"), char(1)]
+    assert [a for a, _ in VirtualRep.of(*reversed(order)).terms] == order
