@@ -30,7 +30,7 @@ class PoleError(DomainError):
 
 
 class MonomialExcludedError(PoleError):
-    """Pole queries under the dihedral (monomial) assumption are excluded."""
+    """The dihedral (monomial) assumption is excluded from reductions and poles."""
 
 
 class ParameterError(DomainError):

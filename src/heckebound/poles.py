@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .assumptions import RepType, TypeAssumption
-from .errors import MonomialExcludedError, PoleError, UnsupportedDegreeError
+from .errors import PoleError, UnsupportedDegreeError
 from .repring import (
     Atom,
     VirtualRep,
@@ -95,14 +95,11 @@ def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
 def _fold_pair(x: Atom, y: Atom) -> tuple[Atom, Atom | None]:
     """Canonical display form of a pairing: all character twists move onto
     the right factor, so e.g. (Sym2*w, pi*w) renders as Sym2 x pi*w^2, and
-    a pairing with a character (the one dimension-1 atom) is a standard factor."""
-    if x.dim == 1:
-        return y.twist(x.omega_power, x.aux), None
-    if y.dim == 1:
-        return x.twist(y.omega_power, y.aux), None
+    a pairing with a character (dimension 1, sorted last) is a standard factor."""
     left, right = sorted((x, y), key=lambda a: a.sort_key())
-    folded_right = right.twist(left.omega_power, left.aux)
-    return left.bare(), folded_right
+    if right.dim == 1:
+        return left.twist(right.omega_power, right.aux), None
+    return left.bare(), right.twist(left.omega_power, left.aux)
 
 
 def _factor_sort_key(f: CertFactor):
@@ -113,9 +110,6 @@ def _factor_sort_key(f: CertFactor):
 def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertificate:
     """ord_{s=1} of the Rankin-Selberg L-function of A x B, expanded
     bilinearly over atom pairs."""
-    if t.rep_type is RepType.DIHEDRAL:
-        message = "monomial (dihedral) representations are excluded from pole queries"
-        raise MonomialExcludedError(message)
     A = reduce_rep(A, t)
     B = reduce_rep(B, t)
     acc: dict[tuple[Atom, Atom | None], list[int]] = {}

@@ -4,12 +4,12 @@ Atoms are irreducible pieces: Sym^k of the standard 2-dim object or the
 opaque cuspidal labels pi_chi and its dual pi_chi_bar, twisted by the
 central character w and the auxiliary order-3 character mu.  A GL(1)
 character is Sym^0 so twisted.  VirtualRep is a formal integer combination
-of atoms.  The vocabulary is fixed in read-only tables (AUX_ORDERS,
-OPAQUE_DUALS), so the module holds no mutable state; all values are
-immutable and every operation is a pure function, so the module is safe
-for unrestricted parallel use.  `dual` is the contragredient the pole
-ledger's one rule rests on; atom_text is the parseable rendering,
-atom_label and rep_label the display forms.
+of atoms.  The vocabulary and the Sym^3/Sym^4 reductions are fixed in
+read-only tables (AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the module
+holds no mutable state; every value is immutable and every operation pure,
+so the module is safe for unrestricted parallel use.  `dual` is the
+contragredient the pole ledger's one rule rests on; atom_text is the
+parseable rendering, atom_label and rep_label the display forms.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .assumptions import RepType, TypeAssumption
 from .errors import (
     AlgebraError,
     EvaluationError,
+    MonomialExcludedError,
     UnsupportedDegreeError,
     UnsupportedReductionError,
 )
@@ -211,39 +212,34 @@ def tensor_power(k: int) -> VirtualRep:
     )
 
 
+# Kim-Shahidi: untwisted Sym^k where the type makes it non-cuspidal (octahedral
+# Sym^3 stays cuspidal); reduce_atom twists each piece by the atom's w and aux.
+REDUCTIONS: Mapping[tuple[RepType, int], VirtualRep] = MappingProxyType(
+    {
+        (RepType.TETRAHEDRAL, 3): VirtualRep.of(sym(1, 1, MU), sym(1, 1, MU2)),
+        (RepType.TETRAHEDRAL, 4): VirtualRep.of(sym(2, 1), char(2, MU), char(2, MU2)),
+        (RepType.OCTAHEDRAL, 3): VirtualRep.of(sym(3)),
+        (RepType.OCTAHEDRAL, 4): VirtualRep.of(opaque(MONOMIAL_LABEL, 2), sym(2, 1)),
+    }
+)
+
+
 def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:
-    """Replace Sym^3/Sym^4 atoms by their isobaric decompositions when the
-    type assumption makes them non-cuspidal; all other atoms pass through."""
-    if a.kind != KIND_SYM or a.sym_degree <= 2:
+    """Replace Sym^3/Sym^4 atoms by their REDUCTIONS entry under the type
+    assumption; all other atoms pass through.  The dihedral type has no
+    atoms to express its reductions and is refused."""
+    if t.rep_type is RepType.DIHEDRAL:
+        message = "monomial (dihedral) representations are excluded from pole queries"
+        raise MonomialExcludedError(message)
+    if a.kind != KIND_SYM or a.sym_degree <= 2 or t.rep_type is RepType.GENERAL:
         return VirtualRep.of(a)
-    k, w, ax = a.sym_degree, a.omega_power, a.aux
-    if t.rep_type is RepType.TETRAHEDRAL:
-        if k == 3:
-            return VirtualRep.from_terms(
-                [(sym(1, w + 1, ax + MU), 1), (sym(1, w + 1, ax + MU2), 1)]
-            )
-        if k == 4:
-            return VirtualRep.from_terms(
-                [
-                    (sym(2, w + 1, ax), 1),
-                    (char(w + 2, ax + MU), 1),
-                    (char(w + 2, ax + MU2), 1),
-                ]
-            )
+    try:
+        pieces = REDUCTIONS[t.rep_type, a.sym_degree]
+    except KeyError:
         raise UnsupportedReductionError(
-            f"no reduction for Sym^{k} under the tetrahedral assumption"
-        )
-    if t.rep_type is RepType.OCTAHEDRAL:
-        if k == 3:
-            return VirtualRep.of(a)
-        if k == 4:
-            return VirtualRep.from_terms(
-                [(opaque(MONOMIAL_LABEL, w + 2, ax), 1), (sym(2, w + 1, ax), 1)]
-            )
-        raise UnsupportedReductionError(
-            f"no reduction for Sym^{k} under the octahedral assumption"
-        )
-    return VirtualRep.of(a)
+            f"no reduction for Sym^{a.sym_degree} under the {t.rep_type.value} assumption"
+        ) from None
+    return VirtualRep.from_terms((p.twist(a.omega_power, a.aux), m) for p, m in pieces.terms)
 
 
 def reduce_rep(v: VirtualRep, t: TypeAssumption) -> VirtualRep:

@@ -102,6 +102,14 @@ def test_decompose_atom_reduction(capsys):
     assert "Sym2" in out
 
 
+@pytest.mark.parametrize("atom", ["pi", "Sym2(pi)", "Sym3(pi)", "Sym4(pi)"])
+def test_decompose_atom_dihedral_exits_one(capsys, atom):
+    # the atoms cannot express a monomial pi's reductions, so the type is refused
+    code, out, err = run(capsys, "decompose", "--atom", atom, "--type", "dihedral")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_decompose_requires_a_target(capsys):
     code, _, err = run(capsys, "decompose")
     assert code == 1

@@ -16,6 +16,7 @@ from heckebound.assumptions import (
 from heckebound.errors import (
     AlgebraError,
     EvaluationError,
+    MonomialExcludedError,
     UnsupportedDegreeError,
     UnsupportedReductionError,
 )
@@ -261,6 +262,34 @@ def test_reduce_idempotent():
     for t in (GENERAL_SELF_DUAL, TETRAHEDRAL_SELF_DUAL, OCTAHEDRAL_SELF_DUAL):
         once = reduce_rep(v, t)
         assert reduce_rep(once, t) == once
+
+
+@pytest.mark.parametrize(
+    "key,pieces",
+    [
+        pytest.param(key, pieces, id=f"{key[0].value}-{key[1]}")
+        for key, pieces in repring.REDUCTIONS.items()
+    ],
+)
+def test_reduction_table_entry(key, pieces):
+    # every (type, k) entry is untwisted Sym^k; each twist of Sym^k reduces
+    # to the entry with every piece twisted alike
+    rep_type, k = key
+    t = TypeAssumption(rep_type)
+    assert pieces.dim == k + 1
+    for w in range(-3, 4):
+        for e in range(3):
+            twist = (("mu", e),)
+            expected = VirtualRep.from_terms((p.twist(w, twist), m) for p, m in pieces.terms)
+            assert reduce_atom(sym(k, w, twist), t) == expected
+    with pytest.raises(TypeError):
+        repring.REDUCTIONS[key] = pieces
+
+
+@pytest.mark.parametrize("atom", [sym(k) for k in range(5)] + [opaque("pi_chi")], ids=atom_text)
+def test_reduce_dihedral_refused(atom):
+    with pytest.raises(MonomialExcludedError):
+        reduce_atom(atom, TypeAssumption(RepType.DIHEDRAL))
 
 
 def _tetrahedral_point(rng):
