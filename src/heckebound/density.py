@@ -56,7 +56,9 @@ def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float
         except OverflowError:  # numpy takes a k past int64 as a double, and this one overflows
             total = math.inf
     if not math.isfinite(total):
-        raise ParameterError(f"the k={k} power sum overflows a double")
+        if k < 10**20:  # up to 20 digits, which covers 2**64; a longer k is named by its length
+            raise ParameterError(f"the k={k} power sum overflows a double")
+        raise ParameterError(f"the k-th power sum overflows a double (k has {len(str(k))} digits)")
     return total
 
 

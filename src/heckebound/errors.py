@@ -25,12 +25,8 @@ class EvaluationError(AlgebraError):
     """Numeric character evaluation is missing a required symbol value."""
 
 
-class PoleError(DomainError):
-    """Problems computing pole orders."""
-
-
-class MonomialExcludedError(PoleError):
-    """The dihedral (monomial) assumption is excluded from reductions and poles."""
+class MonomialExcludedError(AlgebraError):
+    """The dihedral (monomial) type has no reductions in the atom vocabulary."""
 
 
 class ParameterError(DomainError):

@@ -7,7 +7,7 @@ criterion (Jacquet-Shalika): L(s, x × y) has a pole at s=1 exactly when y
 is isomorphic to the dual of x, and a standard factor L(s, x) = L(s, x × 1)
 exactly when x is trivial.  Isomorphism is equality of fully reduced
 canonical atoms (repring.dual, reduce_rep) with w-powers taken modulo the
-order of the central character.
+order of the central character, once for each factor a certificate prints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .assumptions import RepType, TypeAssumption
-from .errors import PoleError, UnsupportedDegreeError
+from .errors import UnsupportedDegreeError
 from .repring import (
     Atom,
     VirtualRep,
@@ -79,7 +79,7 @@ TRIVIAL = char(0)
 
 
 def _mod_omega(a: Atom, t: TypeAssumption) -> Atom:
-    return Atom(a.kind, a.sym_degree, a.omega_power % t.omega_order, a.aux, a.opaque_label)
+    return Atom(a.sym_degree, a.omega_power % t.omega_order, a.aux, a.opaque_label)
 
 
 def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
@@ -95,11 +95,14 @@ def _pole(x: Atom, y: Atom, t: TypeAssumption) -> int:
 def _fold_pair(x: Atom, y: Atom) -> tuple[Atom, Atom | None]:
     """Canonical display form of a pairing: all character twists move onto
     the right factor, so e.g. (Sym2*w, pi*w) renders as Sym2 x pi*w^2, and
-    a pairing with a character (dimension 1, sorted last) is a standard factor."""
+    a pairing with a character (dimension 1, sorted last) is a standard factor.
+    Both atoms are twisted by one character, and dual commutes with twisting,
+    so the pairing and its folded factor have the same pole."""
     left, right = sorted((x, y), key=lambda a: a.sort_key())
     if right.dim == 1:
         return left.twist(right.omega_power, right.aux), None
-    return left.bare(), right.twist(left.omega_power, left.aux)
+    bare = Atom(left.sym_degree, opaque_label=left.opaque_label)
+    return bare, right.twist(left.omega_power, left.aux)
 
 
 def _factor_sort_key(f: CertFactor):
@@ -109,26 +112,20 @@ def _factor_sort_key(f: CertFactor):
 
 def rs_pole_order(A: VirtualRep, B: VirtualRep, t: TypeAssumption) -> PoleCertificate:
     """ord_{s=1} of the Rankin-Selberg L-function of A x B, expanded
-    bilinearly over atom pairs."""
+    bilinearly over atom pairs and summed per folded factor."""
     A = reduce_rep(A, t)
     B = reduce_rep(B, t)
-    acc: dict[tuple[Atom, Atom | None], list[int]] = {}
+    mults: dict[tuple[Atom, Atom | None], int] = {}
     for x, mx in A.terms:
         for y, my in B.terms:
             folded = _fold_pair(x, y)
-            pole = _pole(x, y, t)
-            entry = acc.setdefault(folded, [0, pole])
-            if entry[1] != pole:
-                raise PoleError(f"inconsistent pole contribution for factor {folded}")
-            entry[0] += mx * my
-    factors = tuple(
-        sorted(
-            (CertFactor(left, right, mult, pole) for (left, right), (mult, pole) in acc.items()),
-            key=_factor_sort_key,
-        )
+            mults[folded] = mults.get(folded, 0) + mx * my
+    factors = sorted(
+        (CertFactor(a, b, m, _pole(a, b or TRIVIAL, t)) for (a, b), m in mults.items()),
+        key=_factor_sort_key,
     )
     total = sum(f.multiplicity * f.pole_contrib for f in factors)
-    return PoleCertificate(factors, total, t)
+    return PoleCertificate(tuple(factors), total, t)
 
 
 def std_pole_order(A: VirtualRep, t: TypeAssumption) -> PoleCertificate:

@@ -1,15 +1,15 @@
 """Symbolic algebra of GL(2) tensor/symmetric powers with numeric evaluation.
 
-Atoms are irreducible pieces: Sym^k of the standard 2-dim object or the
-opaque cuspidal labels pi_chi and its dual pi_chi_bar, twisted by the
-central character w and the auxiliary order-3 character mu.  A GL(1)
+An atom is Sym^k of the standard 2-dim object or, when it carries a label,
+the opaque cuspidal pi_chi or its dual pi_chi_bar (degree 0), twisted by
+the central character w and the auxiliary order-3 character mu; a GL(1)
 character is Sym^0 so twisted.  VirtualRep is a formal integer combination
 of atoms.  The vocabulary and the Sym^3/Sym^4 reductions are fixed in
 read-only tables (AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the module
 holds no mutable state; every value is immutable and every operation pure,
 so the module is safe for unrestricted parallel use.  `dual` is the
-contragredient the pole ledger's one rule rests on; atom_text is the
-parseable rendering, atom_label and rep_label the display forms.
+contragredient the pole ledger's one rule rests on.  One renderer spells
+atoms two ways: atom_text parses back, atom_label (and rep_label) display.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .errors import (
     UnsupportedDegreeError,
     UnsupportedReductionError,
 )
-
-KIND_SYM = "SymPow"
-KIND_OPAQUE = "OpaqueCuspidal"
 
 # Satake parameters are unconditionally bounded by p^(7/64).
 RAMANUJAN_EXPONENT = 7 / 64
@@ -79,10 +76,9 @@ def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...
 
 @dataclass(frozen=True)
 class Atom:
-    """One irreducible building block: Sym^k (k = 0 is a GL(1) character)
-    or an opaque cuspidal label, times w^a and an auxiliary character."""
+    """Sym^k (k = 0 is a GL(1) character) or, when opaque_label is set, that
+    opaque cuspidal label (degree 0), times w^a and an auxiliary character."""
 
-    kind: str
     sym_degree: int = 0
     omega_power: int = 0
     aux: tuple[tuple[str, int], ...] = ()
@@ -90,39 +86,29 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "aux", _canonical_aux(self.aux))
-        if self.kind == KIND_SYM:
-            if self.sym_degree < 0:
-                raise AlgebraError("SymPow atoms need sym_degree >= 0")
-        elif self.kind == KIND_OPAQUE:
+        if self.opaque_label:
             opaque_dual(self.opaque_label)
-        else:
-            raise AlgebraError(f"unknown atom kind {self.kind!r}")
+            if self.sym_degree:
+                raise AlgebraError(f"opaque atom {self.opaque_label!r} needs sym_degree 0")
+        elif self.sym_degree < 0:
+            raise AlgebraError("SymPow atoms need sym_degree >= 0")
 
     @property
     def dim(self) -> int:
-        return self.sym_degree + 1 if self.kind == KIND_SYM else OPAQUE_DIM
+        return OPAQUE_DIM if self.opaque_label else self.sym_degree + 1
 
     def twist(self, omega_delta: int = 0, aux: Iterable[tuple[str, int]] = ()) -> "Atom":
-        return Atom(
-            self.kind,
-            self.sym_degree,
-            self.omega_power + omega_delta,
-            tuple(self.aux) + tuple(aux),
-            self.opaque_label,
-        )
-
-    def bare(self) -> "Atom":
-        """The atom with all character twists stripped."""
-        return Atom(self.kind, self.sym_degree, 0, (), self.opaque_label)
+        omega, aux = self.omega_power + omega_delta, self.aux + tuple(aux)
+        return Atom(self.sym_degree, omega, aux, self.opaque_label)
 
     def sort_key(self):
         # characters (Sym^0) rank last, after the opaque labels
-        rank = 2 if self.dim == 1 else int(self.kind == KIND_OPAQUE)
+        rank = 2 if self.dim == 1 else int(bool(self.opaque_label))
         return (rank, -self.sym_degree, self.opaque_label, self.omega_power, self.aux)
 
 
 def sym(degree: int, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    return Atom(KIND_SYM, degree, omega, tuple(aux))
+    return Atom(degree, omega, tuple(aux))
 
 
 def char(omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
@@ -131,7 +117,7 @@ def char(omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
 
 
 def opaque(label: str, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    return Atom(KIND_OPAQUE, 0, omega, tuple(aux), label)
+    return Atom(0, omega, tuple(aux), label)
 
 
 PI = sym(1)
@@ -144,11 +130,10 @@ def aux_inverse(aux: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]
 
 
 def dual(a: Atom) -> Atom:
-    """Contragredient: Sym^k picks up w^-k (so characters invert), opaque
-    labels go to their dual partner in OPAQUE_DUALS."""
-    if a.kind == KIND_SYM:
-        return Atom(KIND_SYM, a.sym_degree, -a.sym_degree - a.omega_power, aux_inverse(a.aux))
-    return Atom(KIND_OPAQUE, 0, -a.omega_power, aux_inverse(a.aux), opaque_dual(a.opaque_label))
+    """Contragredient: Sym^k picks up w^-k (so characters invert), an opaque
+    label (degree 0) goes to its dual partner in OPAQUE_DUALS."""
+    label = a.opaque_label and opaque_dual(a.opaque_label)
+    return Atom(a.sym_degree, -a.sym_degree - a.omega_power, aux_inverse(a.aux), label)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +214,9 @@ def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:
     assumption; all other atoms pass through.  The dihedral type has no
     atoms to express its reductions and is refused."""
     if t.rep_type is RepType.DIHEDRAL:
-        message = "monomial (dihedral) representations are excluded from pole queries"
+        message = "the dihedral (monomial) type has no reductions in the atom vocabulary"
         raise MonomialExcludedError(message)
-    if a.kind != KIND_SYM or a.sym_degree <= 2 or t.rep_type is RepType.GENERAL:
+    if a.sym_degree <= 2 or t.rep_type is RepType.GENERAL:
         return VirtualRep.of(a)
     try:
         pieces = REDUCTIONS[t.rep_type, a.sym_degree]
@@ -281,7 +266,7 @@ class SatakePoint:
 
 def eval_atom(a: Atom, s: SatakePoint) -> complex:
     value: complex
-    if a.kind == KIND_SYM:
+    if not a.opaque_label:
         k = a.sym_degree
         value = sum(s.alpha ** (k - j) * s.beta ** j for j in range(k + 1))
     else:
@@ -324,33 +309,28 @@ _SYM_RE = re.compile(r"Sym(\d+)\(pi\)$")
 _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-def _twists(a: Atom) -> list[str]:
-    """The character twists of an atom, e.g. ['w^-1', 'mu^2']."""
+def _render(a: Atom, opaque_prefix: str, sym_format: str, sep: str) -> str:
+    """The base object, then the twists joined by sep; a character
+    (dimension 1) is spelled alike either way, e.g. 'w^-1*mu^2' or '1'."""
     powers = ((("w", a.omega_power),) if a.omega_power else ()) + a.aux
-    return [name if exp == 1 else f"{name}^{exp}" for name, exp in powers]
+    twists = [name if exp == 1 else f"{name}^{exp}" for name, exp in powers]
+    if a.opaque_label:
+        base = opaque_prefix + a.opaque_label
+    elif a.sym_degree:
+        base = "pi" if a.sym_degree == 1 else sym_format.format(a.sym_degree)
+    else:
+        return "*".join(twists) or "1"
+    return sep.join([base] + twists)
 
 
 def atom_text(a: Atom) -> str:
-    """Parseable rendering, inverse of parse_atom."""
-    parts = _twists(a)
-    if a.kind == KIND_OPAQUE:
-        parts.insert(0, f"opaque:{a.opaque_label}")
-    elif a.sym_degree:
-        parts.insert(0, "pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}(pi)")
-    return "*".join(parts) if parts else "1"
+    """Parseable rendering, inverse of parse_atom, e.g. 'Sym3(pi)*w^-1'."""
+    return _render(a, "opaque:", "Sym{}(pi)", "*")
 
 
 def atom_label(a: Atom) -> str:
     """Human-oriented rendering used in certificates, e.g. 'Sym3', 'pi⊗w'."""
-    twists = _twists(a)
-    if a.dim == 1:
-        return "*".join(twists) if twists else "1"
-    base = (
-        ("pi" if a.sym_degree == 1 else f"Sym{a.sym_degree}")
-        if a.kind == KIND_SYM
-        else a.opaque_label
-    )
-    return "⊗".join([base] + twists)
+    return _render(a, "", "Sym{}", "⊗")
 
 
 def rep_label(v: VirtualRep) -> str:
@@ -364,24 +344,20 @@ def parse_atom(text: str) -> Atom:
     text = text.strip()
     if text == "1":
         return char(0)
-    kind = None  # until the one Sym or opaque factor is read
-    degree = 0
-    label = ""
+    degree, label = None, ""  # until the one Sym or opaque factor is read
     omega = 0
     aux: list[tuple[str, int]] = []
     for factor in text.split("*"):
         factor = factor.strip()
         m = _SYM_RE.match(factor)
-        if m or factor == "pi":
-            if kind is not None:
+        if m or factor == "pi" or factor.startswith("opaque:"):
+            if degree is not None or label:
                 raise AlgebraError(f"more than one base object in {text!r}")
-            kind, degree = KIND_SYM, int(m.group(1)) if m else 1
-            continue
-        if factor.startswith("opaque:"):
-            if kind is not None:
-                raise AlgebraError(f"more than one base object in {text!r}")
-            kind, label = KIND_OPAQUE, factor[len("opaque:"):]
-            opaque_dual(label)
+            if factor.startswith("opaque:"):
+                label = factor[len("opaque:"):]
+                opaque_dual(label)
+            else:
+                degree = int(m.group(1)) if m else 1
             continue
         m = _FACTOR_RE.match(factor)
         if not m:
@@ -392,6 +368,6 @@ def parse_atom(text: str) -> Atom:
         else:
             aux_order(name)
             aux.append((name, exp))
-    if kind == KIND_SYM and degree < 1:
+    if degree == 0:
         raise AlgebraError("SymPow atoms need sym_degree >= 1")
-    return Atom(kind or KIND_SYM, degree, omega, tuple(aux), label)
+    return Atom(degree or 0, omega, tuple(aux), label)

@@ -110,6 +110,15 @@ def test_decompose_atom_dihedral_exits_one(capsys, atom):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["poles", "--k", "4"], ["decompose", "--atom", "Sym2(pi)"]], ids=" ".join
+)
+def test_dihedral_refusal_names_the_atom_vocabulary(capsys, argv):
+    code, out, err = run(capsys, *argv, "--type", "dihedral")
+    message = "the dihedral (monomial) type has no reductions in the atom vocabulary"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_decompose_requires_a_target(capsys):
     code, _, err = run(capsys, "decompose")
     assert code == 1
@@ -311,6 +320,15 @@ def test_argv_integers_past_a_double_exit_one(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, *(["--input", str(path)] if argv[0] == "probe" else []))
     assert_rejected(code, err)
     assert out == "" and len(err.splitlines()) == 1
+
+
+def test_probe_k_past_a_double_prints_a_short_error(tmp_path, capsys):
+    # k is echoed only up to 20 digits; past that the message gives its length
+    path = tmp_path / "small.csv"
+    path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
+    code, out, err = run(capsys, "probe", "--k", str(10**400), "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100
 
 
 @pytest.mark.parametrize("flag", [["--self-dual", "false"], ["--omega-order", "3"]], ids=" ".join)

@@ -62,10 +62,18 @@ def test_truncated_sum_overflow_raises_without_warning():
         truncated_sum(constant_records(2.0, 10), 100_000, 1.2)
 
 
-@pytest.mark.parametrize("k", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
-def test_truncated_sum_exponent_past_int64_is_an_overflow(k):
+@pytest.mark.parametrize(
+    "k,message",
+    [
+        (2**63, f"the k={2**63} power sum overflows a double"),
+        (2**64, f"the k={2**64} power sum overflows a double"),
+        (10**400, r"the k-th power sum overflows a double \(k has 401 digits\)"),
+    ],
+    ids=["2**63", "2**64", "10**400"],
+)
+def test_truncated_sum_exponent_past_int64_is_an_overflow(k, message):
     # numpy takes such a k as a double; 10**400 overflows even that
-    with pytest.raises(ParameterError, match=f"^the k={k} power sum overflows a double$"):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
         truncated_sum(constant_records(2.0, 10), k, 1.2)
 
 

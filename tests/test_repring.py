@@ -203,7 +203,7 @@ def test_dual_is_a_dimension_preserving_involution(a):
 
 
 @given(
-    atoms.filter(lambda a: a.kind != repring.KIND_OPAQUE),
+    atoms.filter(lambda a: not a.opaque_label),
     st.floats(0, 2 * math.pi),
     st.floats(0, 2 * math.pi),
     st.integers(0, 2),
@@ -221,6 +221,22 @@ def test_dual_conjugates_on_unitary_points(a, theta_a, theta_b, mu_power):
 def test_rs_pole_order_symmetric_on_single_atoms(x, y, t):
     forward = rs_pole_order(VirtualRep.of(x), VirtualRep.of(y), t).total_order
     assert forward == rs_pole_order(VirtualRep.of(y), VirtualRep.of(x), t).total_order
+
+
+@given(atoms, atoms, assumptions)
+def test_rs_pole_order_matches_the_per_pair_rule(x, y, t):
+    # oracle: the Rankin-Selberg rule on every unfolded pair of reduced
+    # pieces, sum of m m' over pairs with dual(x') = y' up to w-powers mod ord(w)
+    def mod_omega(a):
+        return (a.sym_degree, a.omega_power % t.omega_order, a.aux, a.opaque_label)
+
+    expected = sum(
+        mx * my
+        for xp, mx in reduce_atom(x, t).terms
+        for yp, my in reduce_atom(y, t).terms
+        if mod_omega(dual(xp)) == mod_omega(yp)
+    )
+    assert rs_pole_order(VirtualRep.of(x), VirtualRep.of(y), t).total_order == expected
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +306,13 @@ def test_reduction_table_entry(key, pieces):
 def test_reduce_dihedral_refused(atom):
     with pytest.raises(MonomialExcludedError):
         reduce_atom(atom, TypeAssumption(RepType.DIHEDRAL))
+
+
+def test_reduce_dihedral_message_names_the_vocabulary():
+    # the refusal is the algebra's, so it says nothing of poles
+    message = r"^the dihedral \(monomial\) type has no reductions in the atom vocabulary$"
+    with pytest.raises(AlgebraError, match=message):
+        reduce_atom(PI, TypeAssumption(RepType.DIHEDRAL))
 
 
 def _tetrahedral_point(rng):
@@ -453,9 +476,9 @@ def test_symbol_tables_are_read_only():
 
 def test_atom_invariants():
     with pytest.raises(AlgebraError):
-        Atom(repring.KIND_SYM, -1)
+        Atom(-1)
     with pytest.raises(AlgebraError):
-        Atom("Gl1Char")
+        Atom(2, opaque_label="pi_chi")
     with pytest.raises(AlgebraError):
         opaque("never_registered")
     for j in range(-2, 3):  # a GL(1) character is the degree-0 symmetric power
