@@ -20,12 +20,13 @@ from .poles import tensor_power_pole
 #: pole orders at s=1 of L(s, pi^(x k)) for general self-dual pi, read from
 #: the ledger: k = 4, k = 8, and k = 6, the lower bound negative_side uses
 POLE4, POLE8, POLE6 = (tensor_power_pole(k, GENERAL_SELF_DUAL).total_order for k in (4, 8, 6))
-#: theorem -> (sign, bound) for `density.verify_theorem`; each bound looks up
-#: this module's function when called, so a replaced function is the one used
+#: theorem -> (sign, bound, whether it needs self-dual data) for
+#: `density.verify_theorem`; each bound looks up this module's function when
+#: called, so a replaced function is the one used
 THEOREMS = {
-    "t1pos": (1, lambda phi: positive_side()),
-    "t1neg": (-1, lambda phi: negative_side()),
-    "t2": (1, lambda phi: non_self_dual(phi)),
+    "t1pos": (1, lambda phi: positive_side(), True),
+    "t1neg": (-1, lambda phi: negative_side(), True),
+    "t2": (1, lambda phi: non_self_dual(phi), False),
 }
 DEFAULT_EPSILON = 0.01
 
@@ -155,10 +156,3 @@ def non_self_dual(phi: float) -> BoundResult:
     )
     return BoundResult(constant, 1.0, (scanned, constant), trace)
 
-
-def reference_constants() -> dict[str, float]:
-    """Literature constants for the geometric method; stored, not derived."""
-    return {
-        "serre": 2 * math.cos(2 * math.pi / 7),
-        "kim-shahidi": 2 * math.cos(2 * math.pi / 11),
-    }

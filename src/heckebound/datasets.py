@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, DatasetFormatError, ParameterError, SingularCurveError
+from .errors import DatasetError, DatasetFormatError, ParameterError
 
 EC_X_CAP = 100_000
 TAU_X_CAP = 10_000
@@ -238,7 +238,7 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
-        raise SingularCurveError(f"curve y^2 = x^3 + {A}x + {B} is singular")
+        raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
     if X < 5:
         raise ParameterError("need X >= 5")
     if X > EC_X_CAP:
@@ -425,6 +425,8 @@ def loads_csv(text: str) -> Dataset:
         if len(parts) != width:
             message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
             raise DatasetFormatError(message, line=lineno)
+        if "_" in line:  # int() and float() would read it as a digit separator
+            raise DatasetFormatError(f"'_' in a number: {line!r}", line=lineno)
         try:
             p, z = int(parts[0]), complex(float(parts[1]), float(parts[2]))
             if width == 4:

@@ -58,13 +58,12 @@ def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float
     if not math.isfinite(total):
         if k < 10**20:  # up to 20 digits, which covers 2**64; a longer k is named by its length
             raise ParameterError(f"the k={k} power sum overflows a double")
-        raise ParameterError(f"the k-th power sum overflows a double (k has {len(str(k))} digits)")
+        # str(k) refuses past 4300 digits, so count them from the bit length b:
+        # 2**(b-1) <= k < 2**b, and if 2**(b-1) has d digits, k has d or d + 1
+        digits = int((k.bit_length() - 1) * math.log10(2)) + 1
+        digits += k >= 10**digits
+        raise ParameterError(f"the k-th power sum overflows a double (k has {digits} digits)")
     return total
-
-
-def normalized_ratio(records: Records, k: int, s: float, phi: float = 0.0) -> float:
-    """truncated_sum divided by log(1/(s-1))."""
-    return truncated_sum(records, k, s, phi) / math.log(1.0 / (s - 1.0))
 
 
 @dataclass(frozen=True)
@@ -153,9 +152,9 @@ def verify_theorem(
         raise ParameterError(f"unknown theorem {theorem!r}; choose from {tuple(THEOREMS)}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if theorem in ("t1pos", "t1neg") and not self_dual:
+    sign, bound, needs_self_dual = THEOREMS[theorem]
+    if needs_self_dual and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
-    sign, bound = THEOREMS[theorem]
     constant = bound(phi).constant
     extremity = sign * vals
     mask = extremity > constant - epsilon

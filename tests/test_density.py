@@ -9,7 +9,6 @@ from heckebound.bounds import negative_side, non_self_dual, positive_side
 from heckebound.datasets import Records, first_n_primes
 from heckebound.density import (
     density_profile,
-    normalized_ratio,
     operating_point,
     pole_order_probe,
     truncated_sum,
@@ -52,8 +51,6 @@ def test_truncated_sum_rejects_s_at_or_below_one():
 def test_truncated_sum_rejects_bad_args(k, s, phi):
     with pytest.raises(ParameterError):
         truncated_sum(constant_records(1.0, 10), k, s, phi)
-    with pytest.raises(ParameterError):
-        normalized_ratio(constant_records(1.0, 10), k, s, phi)
 
 
 def test_truncated_sum_overflow_raises_without_warning():
@@ -68,11 +65,13 @@ def test_truncated_sum_overflow_raises_without_warning():
         (2**63, f"the k={2**63} power sum overflows a double"),
         (2**64, f"the k={2**64} power sum overflows a double"),
         (10**400, r"the k-th power sum overflows a double \(k has 401 digits\)"),
+        (10**5000, r"the k-th power sum overflows a double \(k has 5001 digits\)"),
     ],
-    ids=["2**63", "2**64", "10**400"],
+    ids=["2**63", "2**64", "10**400", "10**5000"],
 )
 def test_truncated_sum_exponent_past_int64_is_an_overflow(k, message):
-    # numpy takes such a k as a double; 10**400 overflows even that
+    # numpy takes such a k as a double; 10**400 overflows even that, and
+    # 10**5000 is past the 4300 digits str() converts
     with pytest.raises(ParameterError, match=f"^{message}$"):
         truncated_sum(constant_records(2.0, 10), k, 1.2)
 
@@ -96,14 +95,6 @@ def test_operating_point():
     records = constant_records(1.0, 100)
     X = records.p[-1]
     assert operating_point(records) == pytest.approx(1 + 1 / math.log(X))
-
-
-def test_normalized_ratio_scaling():
-    records = constant_records(1.0, 500)
-    s = 1.25
-    assert normalized_ratio(records, 2, s) == pytest.approx(
-        truncated_sum(records, 2, s) / math.log(1 / (s - 1))
-    )
 
 
 def test_density_profile_zero_threshold_partition():
@@ -224,8 +215,9 @@ def test_verify_epsilon_widens_the_net():
 
 def test_verify_self_dual_gating():
     records = constant_records(1.0, 100)
-    with pytest.raises(DatasetError):
-        verify_theorem(records, "t1pos", self_dual=False)
+    for theorem in ("t1pos", "t1neg"):
+        with pytest.raises(DatasetError, match=f"^theorem {theorem} requires a self-dual dataset$"):
+            verify_theorem(records, theorem, self_dual=False)
     verify_theorem(records, "t2", self_dual=False)  # allowed
 
 

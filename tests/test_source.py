@@ -1,0 +1,33 @@
+"""Source hygiene: every name a module imports is one it uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "heckebound").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by an import statement of the file and never read in it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from __future__ import annotations\nimport os.path\nfrom math import pi, tau\nprint(tau)\n")
+    assert unused_imports(path) == ["os", "pi"]
