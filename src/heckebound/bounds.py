@@ -97,11 +97,15 @@ def _corner_scan(t_of_densities, step: float = GRID_STEP) -> tuple[float, float,
     return value, d_a, d_b
 
 
-def _holder_scan(mass: float, power: int, q: float) -> tuple[float, float, float]:
+def _holder_side(mass, power, q, constant, premise, result) -> BoundResult:
     """Corner scan of the threshold t with mass - t^power dB <= dB^q t^power
-    dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power)."""
+    dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power), beside the
+    closed-form `constant`; the trace puts the scanned corner between the
+    argument's `premise` and its `result`."""
     q_a, root = 1 - q, 1 / power
-    return _corner_scan(lambda d_a, d_b: (mass / (d_b + d_b ** q * d_a ** q_a)) ** root)
+    scanned, d_a, d_b = _corner_scan(lambda a, b: (mass / (b + b ** q * a ** q_a)) ** root)
+    trace = f"{premise}; grid scan puts the worst case at (dA, dB) = ({d_a}, {d_b}), {result}"
+    return BoundResult(constant, 1.0, (scanned, constant), trace)
 
 
 def negative_side(pole6_lower: int = POLE6) -> BoundResult:
@@ -111,32 +115,26 @@ def negative_side(pole6_lower: int = POLE6) -> BoundResult:
         raise ParameterError("pole6_lower must be >= 1")
     if pole6_lower > MAX_POLE:
         raise ParameterError(f"pole6_lower overflows a double: need <= {MAX_POLE:.4g}")
-    scanned, d_a, d_b = _holder_scan(pole6_lower, 6, 6 / 7)
-    constant = (pole6_lower / 2) ** (1 / 6)
-    trace = (
+    premise = (
         f"sixth-power sums carry at least {pole6_lower} units of pole mass; the "
         "seventh-power sums over the positive set stay O(log) by the eigenvalue "
         "split at c = 2 (for real a_p > 2 with trivial omega both Satake "
         "parameters are real and > 1, so every power sum is positive); Hoelder "
         f"with exponents (6/7, 1/7) forces {pole6_lower} - t^6*dB <= "
-        f"dB^(6/7) t^6 dA^(1/7); grid scan puts the worst case at "
-        f"(dA, dB) = ({d_a}, {d_b}), giving t = ({pole6_lower}/2)^(1/6)"
+        "dB^(6/7) t^6 dA^(1/7)"
     )
-    return BoundResult(constant, 1.0, (scanned, constant), trace)
+    constant, result = (pole6_lower / 2) ** (1 / 6), f"giving t = ({pole6_lower}/2)^(1/6)"
+    return _holder_side(pole6_lower, 6, 6 / 7, constant, premise, result)
 
 
 def positive_side_weak() -> BoundResult:
     """Cross-check value 1/sqrt(2) from running the contradiction argument
     on the positive side with the simple k=2 pole and cubic Hoelder."""
-    scanned, d_a, d_b = _holder_scan(1.0, 2, 2 / 3)
-    constant = 1 / math.sqrt(2)
-    trace = (
+    premise = (
         "square sums carry one unit of pole mass; cubic sums are O(1); Hoelder "
-        "with exponents (2/3, 1/3) forces 1 - t^2*dB <= dB^(2/3) t^2 dA^(1/3); "
-        f"grid scan puts the worst case at (dA, dB) = ({d_a}, {d_b}), giving "
-        "t = 1/sqrt(2)"
+        "with exponents (2/3, 1/3) forces 1 - t^2*dB <= dB^(2/3) t^2 dA^(1/3)"
     )
-    return BoundResult(constant, 1.0, (scanned, constant), trace)
+    return _holder_side(1.0, 2, 2 / 3, 1 / math.sqrt(2), premise, "giving t = 1/sqrt(2)")
 
 
 def non_self_dual(phi: float) -> BoundResult:
@@ -144,15 +142,10 @@ def non_self_dual(phi: float) -> BoundResult:
     not affect the constant."""
     if not 0.0 <= phi <= math.pi:
         raise ParameterError(f"phi must lie in [0, pi], got {phi}")
-    scanned, d_a, d_b = _holder_scan(0.5, 2, 2 / 3)
-    constant = 0.5
-    trace = (
+    premise = (
         f"rotation angle phi = {phi}; the Rankin-Selberg square sum of the "
         "rotated real parts carries pole mass 1/2 (the cross terms vanish "
         "without self-duality); cubic sums are o(log); Hoelder with exponents "
-        "(2/3, 1/3) forces 1/2 - t^2*dB <= (t^3 dB)^(2/3) dA^(1/3); grid scan "
-        f"puts the worst case at (dA, dB) = ({d_a}, {d_b}), where solving "
-        "1/2 - t^2 = t^2 gives t = 1/2"
+        "(2/3, 1/3) forces 1/2 - t^2*dB <= (t^3 dB)^(2/3) dA^(1/3)"
     )
-    return BoundResult(constant, 1.0, (scanned, constant), trace)
-
+    return _holder_side(0.5, 2, 2 / 3, 0.5, premise, "where solving 1/2 - t^2 = t^2 gives t = 1/2")

@@ -1,17 +1,17 @@
 """Generate and ingest normalized Hecke-eigenvalue datasets.
 
 Three generators at desk scale, each capped: point counts on a short
-Weierstrass model (p <= EC_X_CAP; baby-step giant-step above MESTRE_P, with
-the O(p) character sweep for small p and as its fallback), the weight-12
-level-1 q-expansion as Jacobi's cube series to the 8th power modulo four
-primes, lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based
-inverse-CDF sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
+Weierstrass model (p <= EC_X_CAP; baby-step giant-step at every good prime,
+with the O(p) character sweep as its fallback), the weight-12 level-1
+q-expansion as Jacobi's cube series to the 8th power modulo four primes,
+lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
+sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
 is a header plus `Records`: columns of primes p, unitarily normalized
 eigenvalues a and optional exact integers a_raw, validated once when built.
 CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
-exact integer on every row or on none.  Other header keys are ignored, except
-that a normalization other than `unitary` is rejected.
+exact integer on every row or on none, all ASCII without `_`.  Other header
+keys are ignored, except that a normalization other than `unitary` is rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ EC_X_CAP = 100_000
 TAU_X_CAP = 10_000
 ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
-MESTRE_P = 229  # above it, E or its twist has a point that fixes #E(F_p)
 BSGS_POINTS = 32  # points tried before baby-step giant-step falls back
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
@@ -45,17 +44,20 @@ CURVE_11A1 = (-13392, -1080432)
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """Per-prime columns: p (int64, at least 2, strictly increasing), a
-    (complex128, finite) and a_raw (None, or one exact int per prime, since
-    tau(p) exceeds int64 and the float mantissa).  Arrays are read-only.  A
-    bad p or a is reported at its first row (`DatasetError.row`)."""
+    """Per-prime columns: p (int64, given as integers that fit it, at least 2,
+    strictly increasing), a (complex128, finite) and a_raw (None, or one exact
+    int per prime, since tau(p) exceeds int64 and the float mantissa).  Arrays
+    are read-only.  A bad p or a is reported at its first row (`DatasetError.row`)."""
 
     p: np.ndarray
     a: np.ndarray
     a_raw: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        p, a = np.array(self.p, dtype=np.int64), np.array(self.a, dtype=np.complex128)
+        p, a = np.array(self.p), np.array(self.a, dtype=np.complex128)
+        if p.size and not np.can_cast(p.dtype, np.int64):  # [] comes back float64
+            raise DatasetError(f"primes must be exact integers within int64, got dtype {p.dtype}")
+        p = p.astype(np.int64, copy=False)
         raw = None if self.a_raw is None else tuple(self.a_raw)
         if p.ndim != 1 or a.shape != p.shape or (raw is not None and len(raw) != len(p)):
             raise DatasetError("record columns must be one-dimensional and of equal length")
@@ -111,15 +113,18 @@ class Dataset:
 # Primes
 
 
-def primes_up_to(x: int) -> list[int]:
-    if x < 2:
-        return []
-    sieve = np.ones(x + 1, dtype=bool)
+def _sieve(x: int) -> np.ndarray:
+    """Eratosthenes' table: entry n is True iff n is prime, for n <= x."""
+    sieve = np.ones(max(x, 1) + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, int(math.isqrt(x)) + 1):
+    for p in range(2, math.isqrt(max(x, 1)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return sieve
+
+
+def primes_up_to(x: int) -> list[int]:
+    return np.flatnonzero(_sieve(x)).tolist()
 
 
 def first_n_primes(n: int) -> list[int]:
@@ -136,8 +141,8 @@ def first_n_primes(n: int) -> list[int]:
 
 def _ec_trace(A: int, B: int, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for y^2 = x^3 + Ax + B via a full
-    quadratic-character sweep over x: O(p), the path for p <= MESTRE_P, the
-    fallback when baby-step giant-step gives up, and its test oracle."""
+    quadratic-character sweep over x: O(p), the fallback when baby-step
+    giant-step gives up, and its test oracle."""
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(xs * xs) % p] = 1
@@ -206,14 +211,15 @@ def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
 
 
 def _ec_trace_bsgs(A: int, B: int, p: int, points: int = BSGS_POINTS) -> int | None:
-    """a_p for p > MESTRE_P by Shanks-Mestre baby-step giant-step, or None
-    when `points` points leave #E(F_p) ambiguous.
+    """a_p by Shanks-Mestre baby-step giant-step, or None when `points`
+    points leave #E(F_p) ambiguous.
 
     For x = 0, 1, 2, ... with f = x^3 + Ax + B != 0, the point (xf, f^2)
     lies on y^2 = x^3 + Af^2 x + Bf^3: E itself when f is a square mod p,
     else its quadratic twist, whose count is 2p + 2 - #E.  #E is among the
     annihilators in the Hasse interval of every such point, so once their
-    intersection is a single N it is #E, with no order computation."""
+    intersection is a single N it is #E, at every p.  Above Mestre's bound
+    229 one point of E or its twist fixes #E, so the fallback is rare."""
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
     counts = None
@@ -248,7 +254,7 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
         if (2 * disc) % p == 0:
             skipped.append(p)
             continue
-        ap = _ec_trace_bsgs(A, B, p) if p > MESTRE_P else None
+        ap = _ec_trace_bsgs(A, B, p)
         if ap is None:
             ap = _ec_trace(A, B, p)
         ps.append(p)
@@ -381,17 +387,13 @@ def dumps_csv(dataset: Dataset) -> str:
 
 
 def read_csv(path: str | Path) -> Dataset:
-    # the bytes are freed once decoded, before loads_csv builds its lists
-    return loads_csv(_utf8_text(Path(path).read_bytes()))
-
-
-def _utf8_text(data: bytes) -> str:
     try:
-        return data.decode("utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        # number the line as loads_csv's splitlines would
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        # exc.object is the whole file; number the line as loads_csv's splitlines would
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    return loads_csv(text)
 
 
 def loads_csv(text: str) -> Dataset:
@@ -408,6 +410,8 @@ def loads_csv(text: str) -> Dataset:
     if normalization != "unitary":
         raise DatasetFormatError(f"normalization {normalization!r} is not unitary", line=1)
     try:
+        if "_" in fields["X"] or not fields["X"].isascii():  # int() reads both as digits
+            raise ValueError(f"header X={fields['X']!r} is not an ASCII integer")
         X = int(fields["X"])
         header = DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), X)
     except KeyError as exc:
@@ -425,8 +429,9 @@ def loads_csv(text: str) -> Dataset:
         if len(parts) != width:
             message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
             raise DatasetFormatError(message, line=lineno)
-        if "_" in line:  # int() and float() would read it as a digit separator
-            raise DatasetFormatError(f"'_' in a number: {line!r}", line=lineno)
+        if "_" in line or not line.isascii():  # int() and float() read both as digits
+            what = "'_'" if "_" in line else "non-ASCII character"
+            raise DatasetFormatError(f"{what} in a number: {line!r}", line=lineno)
         try:
             p, z = int(parts[0]), complex(float(parts[1]), float(parts[2]))
             if width == 4:
@@ -439,8 +444,7 @@ def loads_csv(text: str) -> Dataset:
         ps.append(p)
         a.append(z)
     p = np.array(ps, dtype=np.int64)
-    # a lookup table over min(p)..max(p) <= MAX_P, smaller than isin's sort
-    composite = ~np.isin(p, primes_up_to(max(ps, default=2)), kind="table")
+    composite = ~_sieve(max(ps, default=2))[p]
     try:
         if composite.any():
             row = int(np.argmax(composite))

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ from heckebound.datasets import (
     CURVE_11A1,
     EC_X_CAP,
     MAX_P,
-    MESTRE_P,
     ST_N_CAP,
     TAU_MODULI,
     TAU_X_CAP,
@@ -40,7 +40,8 @@ from heckebound.errors import DatasetError, DatasetFormatError, ParameterError
 
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_up_to(1) == []
+    assert primes_up_to(1) == primes_up_to(0) == primes_up_to(-5) == []
+    assert primes_up_to(2) == [2]
 
 
 def test_first_n_primes():
@@ -73,7 +74,7 @@ def test_ec_matches_brute_force_small_curve():
 
 
 def sweep_traces(A, B, data):
-    # the O(p) character sweep that baby-step giant-step replaces above MESTRE_P
+    # the O(p) character sweep, baby-step giant-step's fallback and oracle
     return [datasets._ec_trace(A, B, p) for p in data.records.p.tolist()]
 
 
@@ -86,7 +87,7 @@ def test_ec_matches_character_sweep(A, B, X):
     assert list(data.records.a_raw) == sweep_traces(A, B, data)
 
 
-BSGS_PRIMES = [p for p in primes_up_to(3000) if p > MESTRE_P]
+BSGS_PRIMES = primes_up_to(3000)[1:]  # every odd prime below 3000
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,15 +408,40 @@ def test_malformed_row_carries_line_number():
 
 
 @pytest.mark.parametrize(
-    "row",
-    ["1_3,0.5,0.0,1", "13,0_5,0.0,1", "13,0.5,0_0,1", "13,0.5,0.0,1_0"],
-    ids=["p", "a_re", "a_im", "a_raw"],
+    "row, what",
+    [
+        ("1_3,0.5,0.0,1", "'_'"),
+        ("13,0_5,0.0,1", "'_'"),
+        ("13,0.5,0_0,1", "'_'"),
+        ("13,0.5,0.0,1_0", "'_'"),
+        ("\uff11\uff13,0.5,0.0,1", "non-ASCII character"),
+        ("13,\uff10.5,0.0,1", "non-ASCII character"),
+        ("13,0.5,0.0,\u0661", "non-ASCII character"),
+        ("13,0.5,0.0\u00a0,1", "non-ASCII character"),
+    ],
+    ids=["p", "a_re", "a_im", "a_raw", "wide-p", "wide-a_re", "arabic-a_raw", "nbsp"],
 )
-def test_digit_separator_in_a_row_names_its_line(row):
-    # int() and float() accept '_' between digits; the reader makes up no value
+def test_digit_separator_in_a_row_names_its_line(row, what):
+    # int() and float() read '_' between digits, any Unicode digit as its
+    # ASCII twin and strip Unicode spaces; the reader makes up no value
     text = f"# source=x,self_dual=true,X=20\n11,0.1,0.0,1\n{row}\n"
-    with pytest.raises(DatasetFormatError, match=f"^line 3: '_' in a number: '{row}'$"):
+    message = f"line 3: {what} in a number: {row!r}"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
         loads_csv(text)
+
+
+@pytest.mark.parametrize("x", ["1_3", "\uff11\uff13", "\u0661\u0663"])
+def test_header_x_must_be_ascii_without_separators(x):
+    text = f"# source=x,self_dual=true,X={x}\n11,0.1,0.0\n"
+    message = f"line 1: header X={x!r} is not an ASCII integer"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        loads_csv(text)
+
+
+def test_non_ascii_header_source_loads():
+    # the ASCII rule is for numbers; the source is free text
+    data = loads_csv("# source=na\u00efve,self_dual=true,X=13\n11,0.1,0.0\n")
+    assert data.header.source == "na\u00efve" and data.header.X == 13
 
 
 def test_missing_header_rejected():
@@ -433,6 +459,9 @@ def test_missing_header_rejected():
         ([2, 3], [math.inf, 0.2], None),
         ([2, 3], [0.1, 0.2], [1, 2.0]),  # raw values must be exact ints
         ([2, 3], [0.1, 0.2], [1, None]),
+        ([2.5, 3], [0.1, 0.2], None),  # truncating p would make up a prime
+        ([2**70], [0.1], None),  # past int64
+        ([2**64 - 1], [0.1], None),  # fits uint64 only, so int64 would wrap it
     ],
 )
 def test_records_validated_on_construction(p, a, a_raw):
@@ -444,6 +473,12 @@ def test_records_are_read_only():
     records = Records([2, 3], [0.1, 0.2])
     with pytest.raises(ValueError):
         records.a[0] = 5.0
+
+
+def test_empty_records_are_valid():
+    # numpy types an empty list float64; no prime is made up, so it is valid
+    assert len(Records([], [])) == 0
+    assert Records([], []).p.dtype == np.int64
 
 
 def test_header_line_keys():
@@ -500,7 +535,7 @@ def test_prime_above_max_p_rejected_before_sieve(monkeypatch):
     def no_sieve(x):
         raise AssertionError(f"sieve up to {x} requested")
 
-    monkeypatch.setattr(datasets, "primes_up_to", no_sieve)
+    monkeypatch.setattr(datasets, "_sieve", no_sieve)
     text = f"# source=x,self_dual=true,X={2 ** 61}\n5,0.1,0.0\n{2 ** 61 - 1},0.2,0.0\n"
     with pytest.raises(DatasetFormatError, match="line 3"):
         loads_csv(text)
