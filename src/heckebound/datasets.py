@@ -12,14 +12,18 @@ CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
+The reader parses the rows as `dumps_csv` writes them in one numpy pass; for
+any other text, and for any fault, the per-row loop decides and names the line.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +38,7 @@ MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 BSGS_POINTS = 32  # points tried before baby-step giant-step falls back
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
+CSV_BYTES = b"0123456789+-.,eE\n"  # every byte dumps_csv writes below the header
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 
@@ -396,12 +401,11 @@ def read_csv(path: str | Path) -> Dataset:
     return loads_csv(text)
 
 
-def loads_csv(text: str) -> Dataset:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
+def _parse_header(line: str) -> DatasetHeader:
+    if not line.startswith("#"):
         raise DatasetFormatError("missing '#' header line", line=1)
     fields = {}
-    for item in lines[0].lstrip("#").strip().split(","):
+    for item in line.lstrip("#").strip().split(","):
         if "=" not in item:
             raise DatasetFormatError(f"malformed header item {item!r}", line=1)
         key, value = item.split("=", 1)
@@ -412,12 +416,60 @@ def loads_csv(text: str) -> Dataset:
     try:
         if "_" in fields["X"] or not fields["X"].isascii():  # int() reads both as digits
             raise ValueError(f"header X={fields['X']!r} is not an ASCII integer")
-        X = int(fields["X"])
-        header = DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), X)
+        return DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), int(fields["X"]))
     except KeyError as exc:
         raise DatasetFormatError(f"header missing key {exc}", line=1) from None
     except (ValueError, DatasetError) as exc:
         raise DatasetFormatError(str(exc), line=1) from None
+
+
+def _loads_columns(header: DatasetHeader, text: str, start: int) -> Dataset | None:
+    """The rows from text[start:] on, as dumps_csv writes them, parsed in one
+    numpy pass; None wherever the per-row loop must decide, so that it alone
+    names faults."""
+    if not text.isascii():
+        return None
+    data = text[start:].encode("ascii")  # bytes: loadtxt would widen a str to 4 bytes a character
+    width = data.count(b",", 0, data.find(b"\n")) + 1  # loadtxt holds every row to it
+    if width not in (3, 4) or data.translate(None, CSV_BYTES):
+        return None
+    fields = [("p", np.int64), ("re", np.float64), ("im", np.float64), ("raw", object)]
+    with warnings.catch_warnings():
+        # numpy 1.23+ reads "5.7" into an int column through a float with a
+        # DeprecationWarning, where int() refuses it: any warning declines
+        warnings.simplefilter("error")
+        try:
+            cols = np.loadtxt(
+                io.BytesIO(data), dtype=fields[:width], delimiter=",", comments=None,
+                ndmin=1, converters={3: int} if width == 4 else None,
+            )
+        except (ValueError, Warning):
+            return None
+    del data  # only the columns are needed from here
+    p = cols["p"]
+    # the range check comes before p sizes a sieve
+    if p.min() < 2 or p.max() > MAX_P or not _sieve(int(p.max()))[p].all():
+        return None
+    a = np.empty(len(p), dtype=np.complex128)
+    a.real, a.imag = cols["re"], cols["im"]  # re + 1j*im would turn -0.0 into 0.0
+    try:
+        return Dataset(header, Records(p, a, cols["raw"].tolist() if width == 4 else None))
+    except DatasetError:
+        return None
+
+
+def loads_csv(text: str) -> Dataset:
+    """Parse a CSV dataset: one numpy pass over the canonical rows, and the
+    per-row loop, which names the line of every fault, for anything else."""
+    nl = text.find("\n")
+    head = text[:nl] if nl >= 0 else text
+    first = head.splitlines()  # '\r', '\x0b', ... end a line for splitlines too
+    header = _parse_header(first[0] if first else "")
+    if nl >= 0 and first == [head]:
+        dataset = _loads_columns(header, text, nl + 1)
+        if dataset is not None:
+            return dataset
+    lines = text.splitlines()
     ps, a, raws = [], [], []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):

@@ -45,17 +45,24 @@ def operating_point(records: Records) -> float:
 
 def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float:
     """Sum over the dataset of Re(a_p e^{i phi})^k / p^s."""
+    return _truncated_sums(records, k, [s], phi)[0]
+
+
+def _truncated_sums(records: Records, k: int, s_grid: Sequence[float], phi: float = 0.0) -> list[float]:
+    """truncated_sum at each s of the grid, raising to the k-th power once."""
     vals = _rotated(records, phi)
     if k < 0:
         raise ParameterError(f"need k >= 0, got {k}")
-    if not (math.isfinite(s) and s > 1.0):
-        raise ParameterError(f"need finite s > 1, got {s}")
+    for s in s_grid:
+        if not (math.isfinite(s) and s > 1.0):
+            raise ParameterError(f"need finite s > 1, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            total = float(np.sum(vals ** k / np.power(records.p, s, dtype=float)))
+            powers = vals ** k
+            totals = [float(np.sum(powers / np.power(records.p, s, dtype=float))) for s in s_grid]
         except OverflowError:  # numpy takes a k past int64 as a double, and this one overflows
-            total = math.inf
-    if not math.isfinite(total):
+            totals = [math.inf]
+    if not all(math.isfinite(total) for total in totals):
         if k < 10**20:  # up to 20 digits, which covers 2**64; a longer k is named by its length
             raise ParameterError(f"the k={k} power sum overflows a double")
         # str(k) refuses past 4300 digits, so count them from the bit length b:
@@ -63,7 +70,7 @@ def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float
         digits = int((k.bit_length() - 1) * math.log10(2)) + 1
         digits += k >= 10**digits
         raise ParameterError(f"the k-th power sum overflows a double (k has {digits} digits)")
-    return total
+    return totals
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     if gaps[-1] / gaps[0] < 4.0:
         raise ParameterError("grid must span at least a factor of 4 in s - 1")
     x = np.array([math.log(1.0 / (s - 1.0)) for s in s_grid])
-    y = np.array([truncated_sum(records, k, s) for s in s_grid])
+    y = np.array(_truncated_sums(records, k, s_grid))
     slope = float(np.polyfit(x, y, 1)[0])
     if not math.isfinite(slope):  # finite sums near the double limit can still fit to inf
         raise ParameterError(f"the k={k} power sums give no finite slope")
