@@ -46,12 +46,12 @@ class BoundResult:
     trace: str
 
 
-def holder_branch(d: float, pole8: float = POLE8) -> float:
+def holder_branch(d: float, pole8: float) -> float:
     """Increasing branch (d^5 / pole8)^(1/12) from the eighth-power bound."""
     return (d ** 5 / pole8) ** (1 / 12)
 
 
-def partition_branch(d: float, pole4: float = POLE4) -> float:
+def partition_branch(d: float, pole4: float) -> float:
     """Decreasing branch (pole4 - d)^(1/4) from the fourth-power pole."""
     return (pole4 - d) ** 0.25
 
@@ -86,11 +86,11 @@ def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
     return BoundResult(constant, d_star, (up, down), trace)
 
 
-def _corner_scan(t_of_densities, step: float = GRID_STEP) -> tuple[float, float, float]:
+def _corner_scan(t_of_densities) -> tuple[float, float, float]:
     """Minimum of the admissible threshold over (dA, dB) in (0,1]^2 on a
     grid, returned with its location (the first in row order on ties);
     raises if the minimum is not at the corner."""
-    grid = [step + i * step for i in range(round(1 / step))]
+    grid = [GRID_STEP + i * GRID_STEP for i in range(round(1 / GRID_STEP))]
     value, d_a, d_b = min((t_of_densities(d_a, d_b), d_a, d_b) for d_a in grid for d_b in grid)
     if (d_a, d_b) != (1.0, 1.0):
         raise ParameterError(f"worst-case density scan not at the corner: {(d_a, d_b)}")

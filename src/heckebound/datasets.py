@@ -2,7 +2,8 @@
 
 Three generators at desk scale, each capped: point counts on a short
 Weierstrass model (p <= EC_X_CAP; baby-step giant-step at every good prime,
-with the O(p) character sweep as its fallback), the weight-12 level-1
+with the O(p) character sweep only where the curve's points leave the count
+ambiguous, which Mestre's theorem rules out above 229), the weight-12 level-1
 q-expansion as Jacobi's cube series to the 8th power modulo four primes,
 lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
 sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
@@ -12,8 +13,9 @@ CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
-The reader parses the rows as `dumps_csv` writes them in one numpy pass; for
-any other text, and for any fault, the per-row loop decides and names the line.
+The reader parses the rows as `dumps_csv` writes them in one numpy pass and
+any other text with a per-row loop that names the line of a fault it parses;
+one tail checks primality and the model's rules on the columns of either.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ EC_X_CAP = 100_000
 TAU_X_CAP = 10_000
 ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
-BSGS_POINTS = 32  # points tried before baby-step giant-step falls back
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
 CSV_BYTES = b"0123456789+-.,eE\n"  # every byte dumps_csv writes below the header
@@ -146,8 +147,8 @@ def first_n_primes(n: int) -> list[int]:
 
 def _ec_trace(A: int, B: int, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for y^2 = x^3 + Ax + B via a full
-    quadratic-character sweep over x: O(p), the fallback when baby-step
-    giant-step gives up, and its test oracle."""
+    quadratic-character sweep over x: O(p), for the small primes where
+    baby-step giant-step runs out of points, and its test oracle."""
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(xs * xs) % p] = 1
@@ -215,16 +216,16 @@ def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
     return {n for n in found if lo <= n <= hi}
 
 
-def _ec_trace_bsgs(A: int, B: int, p: int, points: int = BSGS_POINTS) -> int | None:
-    """a_p by Shanks-Mestre baby-step giant-step, or None when `points`
-    points leave #E(F_p) ambiguous.
+def _ec_trace_bsgs(A: int, B: int, p: int) -> int:
+    """a_p by Shanks-Mestre baby-step giant-step.
 
     For x = 0, 1, 2, ... with f = x^3 + Ax + B != 0, the point (xf, f^2)
     lies on y^2 = x^3 + Af^2 x + Bf^3: E itself when f is a square mod p,
     else its quadratic twist, whose count is 2p + 2 - #E.  #E is among the
     annihilators in the Hasse interval of every such point, so once their
-    intersection is a single N it is #E, at every p.  Above Mestre's bound
-    229 one point of E or its twist fixes #E, so the fallback is rare."""
+    intersection is a single N it is #E, at every p.  Only when every x is
+    used with several N left does the sweep `_ec_trace` decide; above
+    Mestre's bound 229 one point of E or its twist fixes #E, so it never does."""
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
     counts = None
@@ -232,16 +233,13 @@ def _ec_trace_bsgs(A: int, B: int, p: int, points: int = BSGS_POINTS) -> int | N
         f = (x * x * x + A * x + B) % p
         if not f:
             continue
-        if points <= 0:
-            return None
-        points -= 1
         found = _annihilators((x * f % p, f * f % p), A * f * f % p, p, lo, hi)
         if pow(f, (p - 1) // 2, p) != 1:
             found = {2 * p + 2 - n for n in found}
         counts = found if counts is None else counts & found
         if len(counts) == 1:
             return p + 1 - counts.pop()
-    return None
+    return _ec_trace(A, B, p)
 
 
 def ec_ap(A: int, B: int, X: int) -> Dataset:
@@ -260,8 +258,6 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
             skipped.append(p)
             continue
         ap = _ec_trace_bsgs(A, B, p)
-        if ap is None:
-            ap = _ec_trace(A, B, p)
         ps.append(p)
         a.append(ap / math.sqrt(p))
         raw.append(ap)
@@ -423,13 +419,13 @@ def _parse_header(line: str) -> DatasetHeader:
         raise DatasetFormatError(str(exc), line=1) from None
 
 
-def _loads_columns(header: DatasetHeader, text: str, start: int) -> Dataset | None:
-    """The rows from text[start:] on, as dumps_csv writes them, parsed in one
-    numpy pass; None wherever the per-row loop must decide, so that it alone
-    names faults."""
-    if not text.isascii():
+def _loads_columns(body: str):
+    """The rows of body, as dumps_csv writes them, parsed in one numpy pass
+    into (p, a, a_raw); None where loadtxt cannot read them or a p is outside
+    2..MAX_P, so that the per-row loop names the fault."""
+    if not body.isascii():
         return None
-    data = text[start:].encode("ascii")  # bytes: loadtxt would widen a str to 4 bytes a character
+    data = body.encode("ascii")  # bytes: loadtxt would widen a str to 4 bytes a character
     width = data.count(b",", 0, data.find(b"\n")) + 1  # loadtxt holds every row to it
     if width not in (3, 4) or data.translate(None, CSV_BYTES):
         return None
@@ -447,32 +443,20 @@ def _loads_columns(header: DatasetHeader, text: str, start: int) -> Dataset | No
             return None
     del data  # only the columns are needed from here
     p = cols["p"]
-    # the range check comes before p sizes a sieve
-    if p.min() < 2 or p.max() > MAX_P or not _sieve(int(p.max()))[p].all():
+    if p.min() < 2 or p.max() > MAX_P:  # before p sizes loads_csv's sieve
         return None
     a = np.empty(len(p), dtype=np.complex128)
     a.real, a.imag = cols["re"], cols["im"]  # re + 1j*im would turn -0.0 into 0.0
-    try:
-        return Dataset(header, Records(p, a, cols["raw"].tolist() if width == 4 else None))
-    except DatasetError:
-        return None
+    return p, a, cols["raw"].tolist() if width == 4 else None
 
 
-def loads_csv(text: str) -> Dataset:
-    """Parse a CSV dataset: one numpy pass over the canonical rows, and the
-    per-row loop, which names the line of every fault, for anything else."""
-    nl = text.find("\n")
-    head = text[:nl] if nl >= 0 else text
-    first = head.splitlines()  # '\r', '\x0b', ... end a line for splitlines too
-    header = _parse_header(first[0] if first else "")
-    if nl >= 0 and first == [head]:
-        dataset = _loads_columns(header, text, nl + 1)
-        if dataset is not None:
-            return dataset
-    lines = text.splitlines()
+def _loads_rows(lines: list[str]):
+    """The data lines after the header, numbered from 2, parsed one at a time
+    into (p, a, a_raw); a row that does not parse, or whose p is outside
+    2..MAX_P, is refused at its line."""
     ps, a, raws = [], [], []
     width = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -495,14 +479,27 @@ def loads_csv(text: str) -> Dataset:
             raise DatasetFormatError(f"p = {p} is outside 2..{MAX_P}", line=lineno)
         ps.append(p)
         a.append(z)
-    p = np.array(ps, dtype=np.int64)
-    composite = ~_sieve(max(ps, default=2))[p]
+    return np.array(ps, dtype=np.int64), a, raws if width == 4 else None
+
+
+def loads_csv(text: str) -> Dataset:
+    """Parse a CSV dataset: one numpy pass over the canonical rows, the
+    per-row loop for anything else, then one check of the columns of either,
+    which names the line of the first bad row."""
+    head, nl, body = text.partition("\n")
+    first = head.splitlines()  # '\r', '\x0b', ... end a line for splitlines too
+    header = _parse_header(first[0] if first else "")
+    columns = _loads_columns(body) if nl and first == [head] else None
+    if columns is None:
+        columns = _loads_rows(text.splitlines()[1:])
+    p, a, raw = columns
     try:
+        composite = ~_sieve(int(p.max(initial=2)))[p]
         if composite.any():
             row = int(np.argmax(composite))
-            raise DatasetError(f"p = {ps[row]} is not prime", row=row)
-        return Dataset(header, Records(p, a, raws if width == 4 else None))
+            raise DatasetError(f"p = {p[row]} is not prime", row=row)
+        return Dataset(header, Records(p, a, raw))
     except DatasetError as exc:  # each fault names its row; the file names the row's line
-        rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        rows = (n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip())
         line = next(itertools.islice(rows, exc.row, None))
         raise DatasetFormatError(str(exc), line=line) from None

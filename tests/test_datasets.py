@@ -76,7 +76,7 @@ def test_ec_matches_brute_force_small_curve():
 
 
 def sweep_traces(A, B, data):
-    # the O(p) character sweep, baby-step giant-step's fallback and oracle
+    # the O(p) character sweep, baby-step giant-step's last resort and oracle
     return [datasets._ec_trace(A, B, p) for p in data.records.p.tolist()]
 
 
@@ -94,9 +94,9 @@ BSGS_PRIMES = primes_up_to(3000)[1:]  # every odd prime below 3000
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(BSGS_PRIMES))
-def test_bsgs_is_exact_or_gives_up(A, B, p):
+def test_bsgs_matches_character_sweep(A, B, p):
     assume((4 * A ** 3 + 27 * B ** 2) % p)
-    assert datasets._ec_trace_bsgs(A, B, p) in (None, datasets._ec_trace(A, B, p))
+    assert datasets._ec_trace_bsgs(A, B, p) == datasets._ec_trace(A, B, p)
 
 
 @pytest.mark.parametrize("A, B, p", [(-3, 3, 233), (-2, 1, 233)])
@@ -118,14 +118,28 @@ def test_annihilators_complete_on_every_point(A, B, p):
         assert datasets._annihilators(P, A % p, p, lo, hi) == walked
 
 
-def test_ec_falls_back_to_sweep_when_bsgs_gives_up(monkeypatch):
-    # one point per prime leaves #E ambiguous at some primes, e.g. p = 241
-    assert datasets._ec_trace_bsgs(*CURVE_11A1, 241, 1) is None
-    monkeypatch.setattr(
-        datasets, "_ec_trace_bsgs", functools.partial(datasets._ec_trace_bsgs, points=1)
-    )
+def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
+    sweep, swept = datasets._ec_trace, []
+
+    def counted(A, B, p):
+        swept.append((A, B, p))
+        return sweep(A, B, p)
+
+    monkeypatch.setattr(datasets, "_ec_trace", counted)
+    # every point of y^2 = x^3 - 6x mod 5 leaves two counts in the Hasse interval
+    assert datasets._ec_trace_bsgs(-6, 0, 5) == sweep(-6, 0, 5)
+    assert swept == [(-6, 0, 5)]
+    swept.clear()
     data = ec_ap(*CURVE_11A1, 3000)
-    assert list(data.records.a_raw) == sweep_traces(*CURVE_11A1, data)
+    assert not swept
+    assert list(data.records.a_raw) == [sweep(*CURVE_11A1, p) for p in data.records.p.tolist()]
+    # above Mestre's bound 229 one point of E or its twist fixes the count
+    for p in (p for p in primes_up_to(400) if p > 229):
+        for A in range(-6, 7):
+            for B in range(-6, 7):
+                if (4 * A ** 3 + 27 * B ** 2) % p:
+                    datasets._ec_trace_bsgs(A, B, p)
+    assert not swept
 
 
 def test_ec_11a1_known_traces(ec_11a1):
@@ -389,7 +403,7 @@ def test_dumps_csv_row_blocks_keep_the_bytes(monkeypatch, st_100k, tau_10k):
 def per_row(text):
     """loads_csv with the one-pass reader declining, so the per-row loop decides."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datasets, "_loads_columns", lambda header, text, start: None)
+        patch.setattr(datasets, "_loads_columns", lambda body: None)
         return loads_csv(text)
 
 
@@ -409,7 +423,7 @@ def outcome(load, text):
 def test_one_pass_reader_takes_every_generated_file(st_100k, tau_10k, ec_11a1):
     for data in (st_100k, tau_10k, ec_11a1):
         text = dumps_csv(data)
-        assert datasets._loads_columns(data.header, text, text.index("\n") + 1) is not None
+        assert datasets._loads_columns(text.partition("\n")[2]) is not None
         assert outcome(loads_csv, text) == outcome(per_row, text) == outcome(lambda _: data, text)
 
 
@@ -484,6 +498,31 @@ def under_head(body):
 @example(f"{CSV_HEAD}\n{2**63},0.5,0.0\n")
 def test_one_pass_reader_agrees_with_the_per_row_loop(text):
     assert outcome(loads_csv, text) == outcome(per_row, text)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "3,0.1,0.0\n\n9,0.2,0.0\n",  # composite
+        "5,0.1,0.0\n3,0.2,0.0\n",  # out of order
+        "3,0.1,0.0\n5,1e400,0.0\n",  # not finite
+        "3,0.1,0.0\n13,0.2,0.0\n",  # above X
+        "3,0.1,0.0,1\n9,0.2,0.0,2\n",
+    ],
+    ids=["composite", "order", "1e400", "above-X", "composite-4-columns"],
+)
+def test_canonical_fault_refused_from_its_columns(monkeypatch, rows):
+    # the one-pass columns reach the shared check, which names the line the
+    # per-row loop would, without a second parse
+    text = f"# source=x,self_dual=true,X=10\n{rows}"
+    want = outcome(per_row, text)
+    assert want[0] is DatasetFormatError
+
+    def no_second_parse(lines):
+        raise AssertionError("the per-row loop parsed a canonical text")
+
+    monkeypatch.setattr(datasets, "_loads_rows", no_second_parse)
+    assert outcome(loads_csv, text) == want
 
 
 @pytest.mark.parametrize("raw", ["", ",1"], ids=["3-columns", "4-columns"])
