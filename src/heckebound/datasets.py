@@ -1,9 +1,11 @@
 """Generate and ingest normalized Hecke-eigenvalue datasets.
 
 Three generators at desk scale, each capped: point counts on a short
-Weierstrass model (p <= EC_X_CAP; baby-step giant-step at every good prime,
-with the O(p) character sweep only where the curve's points leave the count
-ambiguous, which Mestre's theorem rules out above 229), the weight-12 level-1
+Weierstrass model (p <= EC_X_CAP; baby-step giant-step on blocks of primes
+above 229 at once as int64 arrays, and per prime for the rest and for any
+prime a block leaves with more than one count, with the O(p) character sweep
+only where the curve's points leave the count ambiguous, which Mestre's
+theorem rules out above 229), the weight-12 level-1
 q-expansion as Jacobi's cube series to the 8th power modulo four primes,
 lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
 sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
@@ -39,6 +41,7 @@ ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
+EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay small
 CSV_BYTES = b"0123456789+-.,eE\n"  # every byte dumps_csv writes below the header
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
@@ -242,9 +245,120 @@ def _ec_trace_bsgs(A: int, B: int, p: int) -> int:
     return _ec_trace(A, B, p)
 
 
+def _pow_mod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p entry by entry, by square-and-multiply over the bits of the
+    largest e; an entry stays 1 until its own top bit is reached."""
+    r = np.ones_like(base)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = r * r % p
+        r = np.where(e >> bit & 1, r * base % p, r)
+    return r
+
+
+def _proj_add(P, Q, p):
+    """P + Q on int64 arrays of projective points (X, Y, Z) mod p, for
+    x(P) != x(Q); where x(P) = x(Q), or P or Q is O (Z = 0), it gives Z = 0."""
+    (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
+    X1Z2, Y1Z2, Z1Z2 = X1 * Z2 % p, Y1 * Z2 % p, Z1 * Z2 % p
+    u = (Y2 * Z1 - Y1Z2) % p
+    v = (X2 * Z1 - X1Z2) % p
+    vv = v * v % p
+    vvv = v * vv % p
+    R = vv * X1Z2 % p
+    t = (u * u % p * Z1Z2 - vvv - 2 * R) % p
+    return v * t % p, (u * (R - t) - vvv * Y1Z2) % p, vvv * Z1Z2 % p
+
+
+def _proj_double(P, a, p):
+    """2P on y^2 = x^3 + ax + b like _proj_add; Z = 0 where y = 0 (2P = O) or P = O."""
+    X, Y, Z = P
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = Y * Z % p
+    b = X * Y % p * s % p
+    h = (w * w - 8 * b) % p
+    ss = s * s % p
+    Y2 = (w * ((4 * b - h) % p) - 8 * (Y * Y % p * ss % p)) % p
+    return 2 * h * s % p, Y2, 8 * (ss * s % p) % p
+
+
+def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
+    """(a_p, decided) at each of ps, an int64 array of good primes from 5 to
+    2^31 (so every product of two residues fits int64), from the point that
+    _ec_trace_bsgs tries point-th (from 0) on y^2 = x^3 + Ax + B.
+
+    The point's annihilators N in the Hasse interval are counted by one
+    baby-step giant-step on all of ps at once, in projective coordinates,
+    with one baby count s for the block.  The count is exact: a giant step
+    m_k P meets +-jP (j <= s) at every N = m_k -+ j.  A prime is decided when
+    exactly one N is found, for #E_f kills the point and lies in the interval,
+    so N = #E_f.  It is left undecided when a chain step meets equal x or the
+    point at infinity, or a baby step has y = 0 (its sign is then ambiguous),
+    or the count is not 1, as it never is when the point's order is <= 2s."""
+    n = len(ps)
+    w = np.array([math.isqrt(4 * q) for q in ps.tolist()], dtype=np.int64)
+    lo, hi = ps + 1 - w, ps + 1 + w
+    a0, b0 = (np.array([c % q for q in ps.tolist()], dtype=np.int64) for c in (A, B))
+    x, usable = np.zeros_like(ps), np.zeros_like(ps)
+    for t in range(point + 4):  # the cubic has at most three roots mod p
+        usable += (t * t * t + a0 * t + b0) % ps != 0
+        x += usable <= point  # x ends at the first t with point + 1 usable up to it
+    f = (x * x * x + a0 * x + b0) % ps
+    a = a0 * (f * f % ps) % ps
+    P = np.stack([x * f % ps, f * f % ps, np.ones_like(ps)])
+    # steps[:, j] holds (j + 1) P for j < s, then the giant steps G_k = m_k P at
+    # m_k = lo + s + k(2s + 1), each a projective (X, Y, Z) row of the block
+    s = math.isqrt(int(w.max())) + 1
+    K = 2 * int(w.max()) // (2 * s + 1) + 1
+    steps = np.empty((3, s + K, n), dtype=np.int64)
+    steps[:, 0] = R = P
+    for j in range(1, s):
+        steps[:, j] = R = _proj_double(P, a, ps) if j == 1 else _proj_add(R, P, ps)
+    step = _proj_add(_proj_double(R, a, ps), P, ps)  # (2s + 1) P
+    # G_0 by double-and-add, each prime's chain starting at its own top bit
+    m, G, started = lo + s, P, np.zeros(n, dtype=bool)
+    for bit in range(int(m.max()).bit_length() - 1, -1, -1):
+        on = (m >> bit & 1).astype(bool)
+        G = np.where(started, _proj_double(G, a, ps), G)
+        G = np.where(on, np.where(started, _proj_add(G, P, ps), P), G)
+        started |= on
+    steps[:, s] = G
+    for k in range(s + 1, s + K):
+        steps[:, k] = G = _proj_add(G, step, ps)
+    # one inversion per prime makes every step affine (Montgomery's trick)
+    Z = steps[2]
+    prefix = Z.copy()
+    for j in range(1, s + K):
+        prefix[j] = prefix[j - 1] * Z[j] % ps
+    # a step that is O, or that added equal x or doubled y = 0, has Z = 0, and so
+    # has every step after it: the product is 0
+    bad, inv = prefix[-1] == 0, _pow_mod(prefix[-1], ps - 2, ps)
+    for j in range(s + K - 1, 0, -1):
+        Z[j], inv = inv * prefix[j - 1] % ps, inv * Z[j] % ps
+    Z[0] = inv
+    steps[:2] *= Z
+    steps[:2] %= ps
+    # G_k = jP gives N = m_k - j and G_k = -jP gives m_k + j, one sign unless y = 0
+    (bx, gx), (by, gy) = ((c[:s], c[s:]) for c in steps[:2])
+    bad |= (by == 0).any(axis=0)
+    k, j, i = np.nonzero(gx[:, None] == bx)
+    N = m[i] + k * (2 * s + 1) + np.where(gy[k, i] == by[j, i], -1, 1) * (j + 1)
+    inside = (lo[i] <= N) & (N <= hi[i])
+    count = np.bincount(i[inside], minlength=n)
+    total = np.bincount(i[inside], weights=N[inside], minlength=n).astype(np.int64)
+    square = _pow_mod(f, (ps - 1) // 2, ps) == 1
+    return ps + 1 - np.where(square, total, 2 * ps + 2 - total), ~bad & (count == 1)
+
+
 def ec_ap(A: int, B: int, X: int) -> Dataset:
     """Unitarily normalized a_p/sqrt(p) for all good primes p <= X of the
-    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped."""
+    curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped.
+
+    The good primes above Mestre's bound 229 go to _ec_trace_batch in blocks
+    of EC_BLOCK, with the first point and then, at the primes where that
+    leaves more than one count, the second.  _ec_trace_bsgs, the scalar path, counts
+    the primes up to 229 and every prime the batch leaves.  The batch decides
+    only where one point's annihilators in the Hasse interval are a single N,
+    which is then #E_f, so it agrees with the scalar path exactly."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
         raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
@@ -252,17 +366,20 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
         raise ParameterError("need X >= 5")
     if X > EC_X_CAP:
         raise ParameterError(f"X = {X} exceeds the point-counting cap {EC_X_CAP}")
-    skipped, ps, a, raw = [], [], [], []
+    skipped, good = [], []
     for p in primes_up_to(X):
-        if (2 * disc) % p == 0:
-            skipped.append(p)
-            continue
-        ap = _ec_trace_bsgs(A, B, p)
-        ps.append(p)
-        a.append(ap / math.sqrt(p))
-        raw.append(ap)
+        (good if (2 * disc) % p else skipped).append(p)
+    pending, found = np.array([p for p in good if p > 229], dtype=np.int64), {}
+    for point in (0, 1):  # the primes the first point leaves get a second one
+        for i in range(0, len(pending), EC_BLOCK):
+            block = pending[i : i + EC_BLOCK]
+            ap, decided = _ec_trace_batch(A, B, block, point)
+            found.update(zip(block[decided].tolist(), ap[decided].tolist()))
+        pending = np.array([p for p in pending.tolist() if p not in found], dtype=np.int64)
+    raw = [found[p] if p in found else _ec_trace_bsgs(A, B, p) for p in good]
+    a = [ap / math.sqrt(p) for p, ap in zip(good, raw)]
     source = f"ec[a={A};b={B};skipped={';'.join(map(str, skipped))}]"
-    return Dataset(DatasetHeader(source, True, X), Records(ps, a, raw))
+    return Dataset(DatasetHeader(source, True, X), Records(good, a, raw))
 
 
 # ---------------------------------------------------------------------------

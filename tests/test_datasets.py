@@ -142,6 +142,79 @@ def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
     assert not swept
 
 
+def scalar_traces(A, B, data):
+    # the per-prime baby-step giant-step, the batch's fallback and oracle
+    return [datasets._ec_trace_bsgs(A, B, p) for p in data.records.p.tolist()]
+
+
+@pytest.mark.parametrize(
+    "A, B, X",
+    [
+        (*CURVE_11A1, 20_000),
+        (1, 0, 5_000),  # CM by Z[i]
+        (-1, 0, 5_000),  # CM by Z[i], full rational 2-torsion
+        (0, 7, 5_000),  # CM by Z[(1 + sqrt(-3))/2]
+        (-7, 6, 5_000),  # (x - 1)(x - 2)(x + 3): full rational 2-torsion, no CM
+    ],
+)
+def test_ec_batch_matches_scalar_path(A, B, X):
+    data = ec_ap(A, B, X)
+    assert list(data.records.a_raw) == scalar_traces(A, B, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_ec_batch_matches_scalar_path_on_drawn_curves(A, B):
+    assume(4 * A ** 3 + 27 * B ** 2)
+    data = ec_ap(A, B, 3000)
+    assert list(data.records.a_raw) == scalar_traces(A, B, data)
+
+
+def test_batch_leaves_the_scalar_path_only_what_it_cannot_decide(monkeypatch):
+    scalar, routed = datasets._ec_trace_bsgs, []
+
+    def counted(A, B, p):
+        routed.append(p)
+        return scalar(A, B, p)
+
+    monkeypatch.setattr(datasets, "_ec_trace_bsgs", counted)
+    # the first point of y^2 = x^3 + 1 is (0, 1), of order 3 <= 2s at every
+    # good prime: it decides none, and what the second point leaves is routed
+    ps = np.array([p for p in primes_up_to(3000) if p > 229], dtype=np.int64)
+    assert not datasets._ec_trace_batch(0, 1, ps, 0)[1].any()
+    data = ec_ap(0, 1, 3000)
+    assert {p for p in routed if p > 229}
+    assert list(data.records.a_raw) == sweep_traces(0, 1, data)
+    # a batch that decides nothing would route every prime
+    routed.clear()
+    data = ec_ap(*CURVE_11A1, 40_000)
+    above = [p for p in data.records.p.tolist() if p > 229]
+    assert 0 < len([p for p in routed if p > 229]) < 0.1 * len(above)
+    raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
+    assert [raw[p] for p in routed] == [datasets._ec_trace(*CURVE_11A1, p) for p in routed]
+
+
+def test_batch_memory_stays_blocked(monkeypatch):
+    # the bound is 4x ec_ap's peak with every prime sent to a stubbed scalar
+    # path: the lists and columns the scalar path builds too (its own
+    # per-prime tables hold a few dozen points); the batch's block tables add
+    # about 2x that, one block of every prime about 16x
+    def peak():
+        tracemalloc.start()
+        try:
+            ec_ap(*CURVE_11A1, 40_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ec_ap(*CURVE_11A1, 1000)  # lazy imports and caches come before the count
+    batched = peak()
+    undecided = lambda A, B, ps, point: (ps, np.zeros(len(ps), dtype=bool))
+    monkeypatch.setattr(datasets, "_ec_trace_batch", undecided)
+    monkeypatch.setattr(datasets, "_ec_trace_bsgs", lambda A, B, p: 0)
+    assert batched < 4 * peak()
+
+
 def test_ec_11a1_known_traces(ec_11a1):
     raw = dict(zip(ec_11a1.records.p.tolist(), ec_11a1.records.a_raw))
     assert raw[5] == 1
