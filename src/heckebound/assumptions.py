@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -15,8 +15,7 @@ class RepType(enum.Enum):
     DIHEDRAL = "dihedral"
 
 
-@dataclass(frozen=True)
-class TypeAssumption:
+class TypeAssumption(namedtuple("TypeAssumption", "rep_type self_dual omega_order")):
     """Representation type, self-duality, and central-character order.
 
     For non-dihedral self-dual representations the central character is
@@ -25,22 +24,21 @@ class TypeAssumption:
     constraints are validated at construction.
     """
 
-    rep_type: RepType = RepType.GENERAL
-    self_dual: bool = True
-    omega_order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega_order < 1:
+    def __new__(cls, rep_type=RepType.GENERAL, self_dual=True, omega_order=1):
+        if omega_order < 1:
             raise ParameterError("omega_order must be >= 1")
-        if self.self_dual and self.rep_type is not RepType.DIHEDRAL and self.omega_order != 1:
+        if self_dual and rep_type is not RepType.DIHEDRAL and omega_order != 1:
             raise ParameterError(
                 "self-dual non-dihedral representations have trivial central character"
             )
-        if not self.self_dual and self.omega_order == 1:
+        if not self_dual and omega_order == 1:
             raise ParameterError(
                 "a trivial central character forces self-duality; "
                 "non-self-dual assumptions need omega_order >= 2"
             )
+        return super().__new__(cls, rep_type, self_dual, omega_order)
 
 
 GENERAL_SELF_DUAL = TypeAssumption(RepType.GENERAL, True, 1)

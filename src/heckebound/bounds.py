@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .assumptions import GENERAL_SELF_DUAL
 from .errors import ParameterError
@@ -38,12 +38,9 @@ BISECTION_MAX_ITER = 200
 GRID_STEP = 1e-2
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    constant: float
-    optimizer: float | None
-    branch_values: tuple[float, float]
-    trace: str
+#: a derived constant, the optimizer that attains it (None if there is none),
+#: the two branch values compared there, and the argument's trace
+BoundResult = namedtuple("BoundResult", "constant optimizer branch_values trace")
 
 
 def holder_branch(d: float, pole8: float) -> float:

@@ -11,8 +11,6 @@ under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from . import bounds, poles, repring
@@ -31,7 +29,11 @@ def _bool_flag(value: str) -> bool:
 
 def _emit(args, payload, *lines: str) -> int:
     """Print the JSON payload under --json, else the text lines."""
-    print(json.dumps(payload) if args.json else "\n".join(lines))
+    if args.json:
+        import json  # here, so that text output starts without it
+
+        lines = (json.dumps(payload),)
+    print("\n".join(lines))
     return 0
 
 
@@ -79,7 +81,7 @@ def _cmd_bounds(args) -> int:
         result = bounds.non_self_dual(args.phi)
     return _emit(
         args,
-        {"side": args.side, **dataclasses.asdict(result)},
+        {"side": args.side, **result._asdict()},
         f"constant: {result.constant:.10f}",
         *([f"optimizer: {result.optimizer:.10f}"] if result.optimizer is not None else []),
         f"trace: {result.trace}",
@@ -118,7 +120,7 @@ def _cmd_verify(args) -> int:
     )
     return _emit(
         args,
-        dataclasses.asdict(report),
+        report._asdict(),
         f"{report.theorem}: threshold {report.threshold:+.4f}, eps {report.epsilon}, "
         f"witnesses {report.count}/{report.total} (required {report.required})",
         *(f"  p={p}  value={value:+.6f}" for p, value in report.witnesses),

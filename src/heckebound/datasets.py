@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +51,21 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 CURVE_11A1 = (-13392, -1080432)
 
 
-@dataclass(frozen=True, eq=False)
 class Records:
     """Per-prime columns: p (int64, given as integers that fit it, at least 2,
     strictly increasing), a (complex128, finite) and a_raw (None, or one exact
     int per prime, since tau(p) exceeds int64 and the float mantissa).  Arrays
-    are read-only.  A bad p or a is reported at its first row (`DatasetError.row`)."""
+    are read-only and the attributes cannot be set.  A bad p or a is reported
+    at its first row (`DatasetError.row`)."""
 
-    p: np.ndarray
-    a: np.ndarray
-    a_raw: tuple[int, ...] | None = None
+    __slots__ = ("p", "a", "a_raw")
 
-    def __post_init__(self):
-        p, a = np.array(self.p), np.array(self.a, dtype=np.complex128)
+    def __init__(self, p, a, a_raw=None):
+        p, a = np.array(p), np.array(a, dtype=np.complex128)
         if p.size and not np.can_cast(p.dtype, np.int64):  # [] comes back float64
             raise DatasetError(f"primes must be exact integers within int64, got dtype {p.dtype}")
         p = p.astype(np.int64, copy=False)
-        raw = None if self.a_raw is None else tuple(self.a_raw)
+        raw = None if a_raw is None else tuple(a_raw)
         if p.ndim != 1 or a.shape != p.shape or (raw is not None and len(raw) != len(p)):
             raise DatasetError("record columns must be one-dimensional and of equal length")
         unsorted = np.diff(p, prepend=1) <= 0  # p[0] < 2 is out of order too
@@ -85,6 +83,11 @@ class Records:
         for name, value in (("p", p), ("a", a), ("a_raw", raw)):
             object.__setattr__(self, name, value)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Records is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __len__(self) -> int:
         return len(self.p)
 
@@ -95,27 +98,24 @@ class Records:
         return same and self.a_raw == other.a_raw
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    source: str
-    self_dual: bool
-    X: int
+class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.X < 0:
-            raise DatasetError(f"header X={self.X} is negative")
+    def __new__(cls, source, self_dual, X):
+        if X < 0:
+            raise DatasetError(f"header X={X} is negative")
+        return super().__new__(cls, source, self_dual, X)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    header: DatasetHeader
-    records: Records
+class Dataset(namedtuple("Dataset", "header records")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, X = self.records.p, self.header.X
+    def __new__(cls, header, records):
+        p, X = records.p, header.X
         if len(p) and p[-1] > X:
             row = int(np.argmax(p > X))
             raise DatasetError(f"record prime {p[row]} exceeds header X={X}", row=row)
+        return super().__new__(cls, header, records)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +505,17 @@ def dumps_csv(dataset: Dataset) -> str:
 
 
 def read_csv(path: str | Path) -> Dataset:
+    """loads_csv on a file read as bytes once: an ASCII body, the bytes after
+    the first newline, goes to the one-pass reader undecoded."""
+    head, nl, body = Path(path).read_bytes().partition(b"\n")
+    ascii_body = body.isascii()  # then only the header can fail to decode
+    data = head if ascii_body else head + nl + body
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # exc.object is the whole file; number the line as loads_csv's splitlines would
-        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # number the line as loads_csv's splitlines would
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    return loads_csv(text)
+    return _load(text, body) if ascii_body else loads_csv(text)
 
 
 def _parse_header(line: str) -> DatasetHeader:
@@ -536,13 +540,14 @@ def _parse_header(line: str) -> DatasetHeader:
         raise DatasetFormatError(str(exc), line=1) from None
 
 
-def _loads_columns(body: str):
+def _loads_columns(body: str | bytes):
     """The rows of body, as dumps_csv writes them, parsed in one numpy pass
     into (p, a, a_raw); None where loadtxt cannot read them or a p is outside
     2..MAX_P, so that the per-row loop names the fault."""
     if not body.isascii():
         return None
-    data = body.encode("ascii")  # bytes: loadtxt would widen a str to 4 bytes a character
+    # bytes: loadtxt would widen a str to 4 bytes a character
+    data = body.encode("ascii") if isinstance(body, str) else body
     width = data.count(b",", 0, data.find(b"\n")) + 1  # loadtxt holds every row to it
     if width not in (3, 4) or data.translate(None, CSV_BYTES):
         return None
@@ -603,12 +608,25 @@ def loads_csv(text: str) -> Dataset:
     """Parse a CSV dataset: one numpy pass over the canonical rows, the
     per-row loop for anything else, then one check of the columns of either,
     which names the line of the first bad row."""
-    head, nl, body = text.partition("\n")
+    head, _, body = text.partition("\n")
+    return _load(head, body)
+
+
+def _lines(head: str, body: str | bytes) -> list[str]:
+    """The lines after the header of the text head + '\n' + body, as
+    splitlines cuts them."""
+    text = head + "\n" + (body if isinstance(body, str) else body.decode("ascii"))
+    return text.splitlines()[1:]
+
+
+def _load(head: str, body: str | bytes) -> Dataset:
+    """loads_csv on the text's first line and the rest, which is ASCII bytes
+    when read_csv read it; only the per-row loop and a fault decode those."""
     first = head.splitlines()  # '\r', '\x0b', ... end a line for splitlines too
     header = _parse_header(first[0] if first else "")
-    columns = _loads_columns(body) if nl and first == [head] else None
+    columns = _loads_columns(body) if first == [head] else None
     if columns is None:
-        columns = _loads_rows(text.splitlines()[1:])
+        columns = _loads_rows(_lines(head, body))
     p, a, raw = columns
     try:
         composite = ~_sieve(int(p.max(initial=2)))[p]
@@ -617,6 +635,6 @@ def loads_csv(text: str) -> Dataset:
             raise DatasetError(f"p = {p[row]} is not prime", row=row)
         return Dataset(header, Records(p, a, raw))
     except DatasetError as exc:  # each fault names its row; the file names the row's line
-        rows = (n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip())
+        rows = (n for n, line in enumerate(_lines(head, body), start=2) if line.strip())
         line = next(itertools.islice(rows, exc.row, None))
         raise DatasetFormatError(str(exc), line=line) from None

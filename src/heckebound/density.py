@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -73,16 +73,9 @@ def _truncated_sums(records: Records, k: int, s_grid: Sequence[float], phi: floa
     return totals
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    threshold: float
-    side: str
-    phi: float
-    natural_proportion: float
-    dirichlet_weighted: float
-    count: int
-    s_used: float
-    X: int
+DensityReport = namedtuple(
+    "DensityReport", "threshold side phi natural_proportion dirichlet_weighted count s_used X"
+)
 
 
 def density_profile(
@@ -131,17 +124,10 @@ def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float
     return slope
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: str
-    threshold: float
-    epsilon: float
-    phi: float
-    count: int
-    required: int
-    total: int
-    witnesses: tuple[tuple[int, float], ...]
-    passed: bool
+#: a verify_theorem verdict; witnesses holds up to ten (p, value) pairs
+TheoremReport = namedtuple(
+    "TheoremReport", "theorem threshold epsilon phi count required total witnesses passed"
+)
 
 
 def verify_theorem(

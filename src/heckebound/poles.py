@@ -13,7 +13,7 @@ order of the central character, once for each factor a certificate prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .assumptions import RepType, TypeAssumption
 from .errors import AlgebraError
@@ -29,15 +29,11 @@ from .repring import (
 )
 
 
-@dataclass(frozen=True)
-class CertFactor:
+class CertFactor(namedtuple("CertFactor", "left right multiplicity pole_contrib")):
     """One L-factor in a certificate: L(left x right)^multiplicity, or the
     standard L(left)^multiplicity when right is None."""
 
-    left: Atom
-    right: Atom | None
-    multiplicity: int
-    pole_contrib: int
+    __slots__ = ()
 
     def label(self) -> str:
         if self.right is None:
@@ -53,12 +49,10 @@ class CertFactor:
         }
 
 
-@dataclass(frozen=True)
-class PoleCertificate:
-    factors: tuple[CertFactor, ...]
-    total_order: int
-    assumption: TypeAssumption
-    note: str = ""
+class PoleCertificate(
+    namedtuple("PoleCertificate", "factors total_order assumption note", defaults=("",))
+):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {
@@ -146,10 +140,10 @@ def tensor_power_pole(k: int, t: TypeAssumption) -> PoleCertificate:
     cert = rs_pole_order(tensor_power(math.ceil(k / 2)), tensor_power(k // 2), t)
     if k == 5:
         note = "k=5: derived for table completeness; no published reference value"
-        return replace(cert, note=note)
+        return cert._replace(note=note)
     if k == 6 and t.rep_type is RepType.OCTAHEDRAL:
         note = "k=6 octahedral: derived from cuspidal Sym3; no published reference value"
-        return replace(cert, note=note)
+        return cert._replace(note=note)
     return cert
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -64,24 +64,22 @@ def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...
 # Atoms
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(namedtuple("Atom", "sym_degree omega_power aux opaque_label")):
     """Sym^k (k = 0 is a GL(1) character) or, when opaque_label is set, that
-    opaque cuspidal label (degree 0), times w^a and an auxiliary character."""
+    opaque cuspidal label (degree 0), times w^a and an auxiliary character
+    whose (name, exponent) pairs are kept canonical."""
 
-    sym_degree: int = 0
-    omega_power: int = 0
-    aux: tuple[tuple[str, int], ...] = ()
-    opaque_label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "aux", _canonical_aux(self.aux))
-        if self.opaque_label:
-            opaque_dual(self.opaque_label)
-            if self.sym_degree:
-                raise AlgebraError(f"opaque atom {self.opaque_label!r} needs sym_degree 0")
-        elif self.sym_degree < 0:
+    def __new__(cls, sym_degree=0, omega_power=0, aux=(), opaque_label=""):
+        aux = _canonical_aux(aux)
+        if opaque_label:
+            opaque_dual(opaque_label)
+            if sym_degree:
+                raise AlgebraError(f"opaque atom {opaque_label!r} needs sym_degree 0")
+        elif sym_degree < 0:
             raise AlgebraError("SymPow atoms need sym_degree >= 0")
+        return super().__new__(cls, sym_degree, omega_power, aux, opaque_label)
 
     @property
     def dim(self) -> int:
@@ -130,11 +128,11 @@ def dual(a: Atom) -> Atom:
 # Virtual representations
 
 
-@dataclass(frozen=True)
-class VirtualRep:
-    """Formal integer combination of atoms, kept in canonical order."""
+class VirtualRep(namedtuple("VirtualRep", "terms", defaults=((),))):
+    """Formal integer combination of atoms: terms holds (atom, multiplicity)
+    pairs, kept in canonical order."""
 
-    terms: tuple[tuple[Atom, int], ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def of(*atoms: Atom) -> "VirtualRep":

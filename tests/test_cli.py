@@ -222,21 +222,28 @@ def test_non_utf8_file_exits_one(tmp_path, capsys, argv):
 
 
 def test_symbolic_subcommands_leave_numpy_unloaded():
-    # decompose, poles and bounds never touch an array, so they start without numpy
+    # decompose, poles and bounds never touch an array, so they start without
+    # numpy; their records are namedtuples, so dataclasses stays unloaded too,
+    # and json is imported only to print --json output
     argvs = [["decompose", "--k", "3"], ["poles", "--k", "8"]]
     argvs += [["bounds", "--side", side] for side in ("pos", "neg", "weak", "nsd")]
     code = (
         "import contextlib, io, sys\n"
         "from heckebound.cli import main\n"
-        f"for argv in {argvs!r}:\n"
+        "def run(argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('numpy' in sys.modules)\n"
+        "run(['poles', '--k', '8'])\n"
+        "print('json' in sys.modules)\n"
+        f"for argv in {argvs!r}:\n"
+        "    run(argv)\n"
+        "    run(argv + ['--json'])\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse False\n"), proc.stderr
 
 
 def test_generate_ec_defaults_to_11a1(capsys):
