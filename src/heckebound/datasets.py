@@ -505,17 +505,22 @@ def dumps_csv(dataset: Dataset) -> str:
 
 
 def read_csv(path: str | Path) -> Dataset:
-    """loads_csv on a file read as bytes once: an ASCII body, the bytes after
-    the first newline, goes to the one-pass reader undecoded."""
-    head, nl, body = Path(path).read_bytes().partition(b"\n")
-    ascii_body = body.isascii()  # then only the header can fail to decode
-    data = head if ascii_body else head + nl + body
+    """loads_csv on a file read as bytes once, its lines ended as text mode
+    ends them: an ASCII body, the bytes after the first newline, goes to the
+    one-pass reader undecoded."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, nl, body = data.partition(b"\n")
+    ascii_body = body.isascii()
+    if ascii_body:  # only the header can fail to decode, and through its newline as in the file
+        data = head + nl
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:  # number the line as loads_csv's splitlines would
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    return _load(text, body) if ascii_body else loads_csv(text)
+    return _load(text.removesuffix("\n"), body) if ascii_body else loads_csv(text)
 
 
 def _parse_header(line: str) -> DatasetHeader:

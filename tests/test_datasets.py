@@ -761,6 +761,31 @@ def test_non_utf8_file_names_its_line(tmp_path, newline, bad_row):
         read_csv(path)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_header_cut_short_at_its_newline_names_the_byte(tmp_path, newline):
+    # the reason is the whole file's: the newline, not the end of the data, ends the sequence
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join([b"# source=x,self_dual=true,X=10\xc3", b"3,0.1,0.0", b""]))
+    with pytest.raises(DatasetFormatError, match="^line 1: not UTF-8 text: invalid continuation byte$"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_csv_gives_the_body_bytes_to_the_one_pass_reader(tmp_path, monkeypatch, tau_10k, newline):
+    # the rows reach loadtxt as the file's bytes, undecoded, whatever the line ending
+    path = tmp_path / "tau.csv"
+    path.write_bytes(dumps_csv(tau_10k).replace("\n", newline).encode("ascii"))
+    one_pass, seen = datasets._loads_columns, []
+    monkeypatch.setattr(datasets, "_loads_columns", lambda body: seen.append(type(body)) or one_pass(body))
+
+    def no_per_row(lines):
+        raise AssertionError("the per-row loop ran")
+
+    monkeypatch.setattr(datasets, "_loads_rows", no_per_row)
+    assert outcome(read_csv, path) == outcome(lambda _: tau_10k, path)
+    assert seen == [bytes]
+
+
 def test_non_integer_raw_rejected():
     text = "# source=x,self_dual=true,X=10\n2,0.1,0.0,-24\n3,0.2,0.0,252.5\n"
     with pytest.raises(DatasetFormatError, match="line 3"):
