@@ -506,14 +506,15 @@ def dumps_csv(dataset: Dataset) -> str:
 
 def read_csv(path: str | Path) -> Dataset:
     """loads_csv on a file read as bytes once, its lines ended as text mode
-    ends them: an ASCII body, the bytes after the first newline, goes to the
-    one-pass reader undecoded."""
+    ends them.  An ASCII body, the bytes after the first newline, goes to the
+    one-pass reader undecoded, and the header is decoded through its newline,
+    so that a UTF-8 fault reads as it would in the whole file."""
     data = Path(path).read_bytes()
     if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     head, nl, body = data.partition(b"\n")
     ascii_body = body.isascii()
-    if ascii_body:  # only the header can fail to decode, and through its newline as in the file
+    if ascii_body:
         data = head + nl
     try:
         text = data.decode("utf-8")

@@ -5,7 +5,6 @@ order, which `bounds --json` and `verify --json` print, is fixed."""
 import math
 import re
 
-import numpy as np
 import pytest
 
 from heckebound.assumptions import GENERAL_SELF_DUAL, RepType, TypeAssumption
@@ -126,10 +125,8 @@ def test_records_keep_their_length_and_value_equality():
     assert copy != Records(RECORDS.p, RECORDS.a)
     assert not (copy.p.flags.writeable or copy.a.flags.writeable)
     assert Dataset(DatasetHeader("x", True, 10), copy) == FIELDS[Dataset][0]
-    np.testing.assert_array_equal(copy.p, [2, 3, 5, 7])
 
 
 def test_replacing_a_note_keeps_the_certificate_type():
     cert = tensor_power_pole(5, GENERAL_SELF_DUAL)
     assert type(cert) is PoleCertificate and cert.note.startswith("k=5:")
-    assert cert._replace(note="")[:3] == cert[:3]
