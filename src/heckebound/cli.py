@@ -103,7 +103,7 @@ def _cmd_generate(args) -> int:
         datasets.write_csv(args.out, dataset)
         print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(datasets.dumps_csv(dataset))
+        sys.stdout.writelines(datasets.csv_chunks(dataset))
     return 0
 
 

@@ -55,13 +55,15 @@ class Records:
     """Per-prime columns: p (int64, given as integers that fit it, at least 2,
     strictly increasing), a (complex128, finite) and a_raw (None, or one exact
     int per prime, since tau(p) exceeds int64 and the float mantissa).  Arrays
-    are read-only and the attributes cannot be set.  A bad p or a is reported
-    at its first row (`DatasetError.row`)."""
+    are read-only: an int64 p or complex128 a that owns its data and is read-only
+    is kept, any other column copied.  The attributes cannot be set.  A bad p or
+    a is reported at its first row (`DatasetError.row`)."""
 
     __slots__ = ("p", "a", "a_raw")
 
     def __init__(self, p, a, a_raw=None):
-        p, a = np.array(p), np.array(a, dtype=np.complex128)
+        p = p if _adoptable(p, np.int64) else np.array(p)
+        a = a if _adoptable(a, np.complex128) else np.array(a, dtype=np.complex128)
         if p.size and not np.can_cast(p.dtype, np.int64):  # [] comes back float64
             raise DatasetError(f"primes must be exact integers within int64, got dtype {p.dtype}")
         p = p.astype(np.int64, copy=False)
@@ -96,6 +98,10 @@ class Records:
             return NotImplemented
         same = np.array_equal(self.p, other.p) and np.array_equal(self.a, other.a)
         return same and self.a_raw == other.a_raw
+
+
+def _adoptable(c, dtype) -> bool:
+    return isinstance(c, np.ndarray) and c.dtype == dtype and c.flags.owndata and not c.flags.writeable
 
 
 class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):
@@ -137,11 +143,15 @@ def primes_up_to(x: int) -> list[int]:
 
 
 def first_n_primes(n: int) -> list[int]:
+    return _first_primes(n).tolist()
+
+
+def _first_primes(n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError("need n >= 1 primes")
     # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices
     bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))) * 1.2) + 10
-    return primes_up_to(bound)[:n]
+    return np.flatnonzero(_sieve(bound))[:n].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +462,11 @@ def _sato_tate_angle(u: np.ndarray) -> np.ndarray:
     theta = np.cbrt(1.5 * np.pi * np.minimum(u, 1.0 - u))
     theta = np.where(u < 0.5, theta, np.pi - theta)
     for _ in range(6):
-        slope = 2.0 / np.pi * np.sin(theta) ** 2
-        residual = (theta - np.sin(theta) * np.cos(theta)) / np.pi - u
-        step = np.divide(residual, slope, out=np.zeros_like(theta), where=slope > 0)
-        theta = np.clip(theta - step, 0.0, np.pi)
+        sin = np.sin(theta)
+        slope = 2.0 / np.pi * np.square(sin)
+        residual = (theta - sin * np.cos(theta)) / np.pi - u
+        theta -= np.divide(residual, slope, out=np.zeros_like(theta), where=slope > 0)
+        np.clip(theta, 0.0, np.pi, out=theta)
     return theta
 
 
@@ -469,39 +480,42 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
         raise ParameterError("need n >= 1")
     if n > ST_N_CAP:
         raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
-    ps = first_n_primes(n)
+    ps = _first_primes(n)
     key = np.uint64(seed % SEED_MODULUS)
     bits = _mix64(key + np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
-    a = 2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))
-    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), Records(ps, a))
+    a = (2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))).astype(np.complex128)
+    for column in (ps, a):  # owned and read-only, so Records adopts them
+        column.setflags(write=False)
+    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, int(ps[-1])), Records(ps, a))
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
 
 
-def _parse_bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise DatasetFormatError(f"expected true/false, got {s!r}")
-    return s == "true"
-
-
 def write_csv(path: str | Path, dataset: Dataset) -> None:
-    Path(path).write_text(dumps_csv(dataset), encoding="utf-8")
+    chunks = csv_chunks(dataset)
+    head = next(chunks)  # a refused header leaves the file as it was
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(itertools.chain([head], chunks))
 
 
 def dumps_csv(dataset: Dataset) -> str:
+    return "".join(csv_chunks(dataset))
+
+
+def csv_chunks(dataset: Dataset):
+    """dataset's CSV text as the header line, then CSV_BLOCK rows at a time."""
     h, r = dataset.header, dataset.records
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
-    text = [f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}"]
+    yield f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
     for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
         cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))
         rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(*cols)]
         if r.a_raw is not None:
             rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw[block])]
-        text.append("\n".join(rows))
-    return "\n".join(text) + "\n"
+        yield "\n".join(rows) + "\n"
 
 
 def read_csv(path: str | Path) -> Dataset:
@@ -539,7 +553,10 @@ def _parse_header(line: str) -> DatasetHeader:
     try:
         if "_" in fields["X"] or not fields["X"].isascii():  # int() reads both as digits
             raise ValueError(f"header X={fields['X']!r} is not an ASCII integer")
-        return DatasetHeader(fields["source"], _parse_bool(fields["self_dual"]), int(fields["X"]))
+        source, self_dual = fields["source"], fields["self_dual"]
+        if self_dual not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {self_dual!r}")
+        return DatasetHeader(source, self_dual == "true", int(fields["X"]))
     except KeyError as exc:
         raise DatasetFormatError(f"header missing key {exc}", line=1) from None
     except (ValueError, DatasetError) as exc:
@@ -570,11 +587,13 @@ def _loads_columns(body: str | bytes):
         except (ValueError, Warning):
             return None
     del data  # only the columns are needed from here
-    p = cols["p"]
+    p = cols["p"].copy()  # owned, so that Records adopts it and cols can go
     if p.min() < 2 or p.max() > MAX_P:  # before p sizes loads_csv's sieve
         return None
     a = np.empty(len(p), dtype=np.complex128)
     a.real, a.imag = cols["re"], cols["im"]  # re + 1j*im would turn -0.0 into 0.0
+    for column in (p, a):
+        column.setflags(write=False)
     return p, a, cols["raw"].tolist() if width == 4 else None
 
 

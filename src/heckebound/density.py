@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .assumptions import RepType, TypeAssumption
 from .errors import AlgebraError

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from heckebound import datasets
 from heckebound.datasets import (
+    CSV_BLOCK,
     CURVE_11A1,
     EC_X_CAP,
     MAX_P,
@@ -35,6 +37,10 @@ from heckebound.datasets import (
     write_csv,
 )
 from heckebound.errors import DatasetError, DatasetFormatError, ParameterError
+
+SRC = str(Path(datasets.__file__).resolve().parents[1])
+# the environment of a CLI process that imports this checkout's package
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 # ---------------------------------------------------------------------------
 # primes
@@ -423,9 +429,7 @@ def test_sato_tate_angle_solves_the_cdf():
 def test_cli_import_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, several MB of resident memory in every process
     code = "import sys, heckebound.cli, heckebound.datasets; sys.exit('_hashlib' in sys.modules)"
-    src = str(Path(datasets.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=CLI_ENV).returncode == 0
 
 
 def test_sato_tate_kolmogorov_smirnov(st_100k):
@@ -471,6 +475,96 @@ def test_dumps_csv_row_blocks_keep_the_bytes(monkeypatch, st_100k, tau_10k):
     assert dumps_csv(st_100k).split("\n")[1:] == per_row_csv(st_100k) + [""]
     monkeypatch.setattr(datasets, "CSV_BLOCK", 100)  # 13 blocks, the last one short
     assert dumps_csv(tau_10k).split("\n")[1:] == per_row_csv(tau_10k) + [""]
+
+
+@pytest.mark.parametrize(
+    "build, argv, digest",
+    [
+        (
+            lambda: sato_tate_sample(10**5, 1),
+            ["--kind", "st", "--n", "100000", "--seed", "1"],
+            "1b667103316fe8f258fd5f73106929c49d5c856a63aba6cf95f49cc527c8a140",
+        ),
+        (
+            lambda: tau_ap(10**4),
+            ["--kind", "tau", "--x", "10000"],
+            "20cc644c1bc31e76f9a6b3b806b85b09567557b2e4141f636ad5b7ce4cd3e237",
+        ),
+        (
+            lambda: ec_ap(*CURVE_11A1, 40_000),
+            ["--kind", "ec", "--x", "40000"],
+            "530cfbc63f3198df8aa2a0e43bfa6801f9484faa9ef7a4248465f5442a238082",
+        ),
+    ],
+    ids=["sato-tate", "tau", "ec-11a1"],
+)
+def test_generated_bytes_are_pinned(tmp_path, build, argv, digest):
+    # the digests were taken before the writer streamed blocks, so a sampler,
+    # generator or writer change that moves one bit of a generated file fails
+    data = build()
+    text = dumps_csv(data).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == digest
+    path = tmp_path / "out.csv"
+    write_csv(path, data)
+    assert path.read_bytes() == text
+    cli = [sys.executable, "-m", "heckebound.cli", "generate", *argv]
+    assert subprocess.run(cli, env=CLI_ENV, capture_output=True, check=True).stdout == text
+
+
+def block_records(n, raw=False):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    return Records(first_n_primes(n), a, rng.integers(-(10**6), 10**6, n).tolist() if raw else None)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["3-columns", "4-columns"])
+@pytest.mark.parametrize("n", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK])
+def test_write_csv_writes_the_dumps_csv_bytes(tmp_path, n, raw):
+    records = block_records(n, raw)
+    data = Dataset(DatasetHeader("blocks", False, int(records.p[-1])), records)
+    path = tmp_path / "blocks.csv"
+    write_csv(path, data)
+    text = dumps_csv(data)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert text.split("\n")[1:] == per_row_csv(data) + [""]
+    assert read_csv(path) == data
+
+
+def test_refused_source_leaves_the_target_unchanged(tmp_path):
+    data = Dataset(DatasetHeader("a,b", True, 10), Records([2, 3], [0.5, -0.5]))
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"# source=kept,self_dual=true,X=10\n2,0.5,0.0\n")
+    for path in (kept, new):
+        with pytest.raises(DatasetError, match="^header source must not contain commas$"):
+            write_csv(path, data)
+    assert kept.read_bytes() == b"# source=kept,self_dual=true,X=10\n2,0.5,0.0\n"
+    assert not new.exists()
+
+
+def test_sampler_and_reader_columns_hold_no_larger_array(tmp_path, st_100k):
+    # neither the sieve's primes nor the reader's table of parsed fields
+    # outlives the columns cut from it
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)
+    for records in (st_100k.records, read_csv(path).records):
+        assert records.p.base is None and records.a.base is None
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    # a writer that held the file would peak about four times higher at 16
+    # blocks than at 4; one that holds a block stays level
+    def peak(blocks):
+        records = block_records(blocks * CSV_BLOCK, raw=True)
+        data = Dataset(DatasetHeader("blocks", True, int(records.p[-1])), records)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "blocks.csv", data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches come before the count
+    assert peak(16) <= 1.5 * peak(4)
 
 
 def per_row(text):

@@ -5,6 +5,7 @@ order, which `bounds --json` and `verify --json` print, is fixed."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from heckebound.assumptions import GENERAL_SELF_DUAL, RepType, TypeAssumption
@@ -125,6 +126,43 @@ def test_records_keep_their_length_and_value_equality():
     assert copy != Records(RECORDS.p, RECORDS.a)
     assert not (copy.p.flags.writeable or copy.a.flags.writeable)
     assert Dataset(DatasetHeader("x", True, 10), copy) == FIELDS[Dataset][0]
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        lambda: ([2, 3, 5, 7], [0.5, -0.5, 1.0, 0.0]),
+        lambda: (np.arange(10, dtype=np.int64)[[2, 3, 5, 7]][::1], np.arange(8, dtype=np.complex128)[::2]),
+        lambda: (np.array([2, 3, 5, 7]), np.array([0.5, -0.5, 1.0, 0.0], dtype=np.complex128)),
+        lambda: (np.array([2, 3, 5, 7], dtype=np.int32), np.array([0.5, -0.5, 1.0, 0.0])),
+        lambda: tuple(_read_only(np.array(c))[:] for c in ([2, 3, 5, 7], [0.5j, -0.5, 1.0, 0.0])),
+    ],
+    ids=["lists", "views", "writable-arrays", "other-dtypes", "read-only-views"],
+)
+def test_records_copy_what_they_do_not_own(given):
+    p, a = given()
+    records = Records(p, a)
+    before = records.p.tolist(), records.a.tolist()
+    for given_column, column in ((p, records.p), (a, records.a)):
+        if isinstance(given_column, np.ndarray):
+            assert not np.shares_memory(given_column, column)
+            if given_column.flags.writeable:  # the caller's array is not frozen, nor seen through
+                given_column[0] = 1
+    assert (records.p.tolist(), records.a.tolist()) == before
+    assert not (records.p.flags.writeable or records.a.flags.writeable)
+
+
+def test_records_adopt_owned_read_only_columns():
+    p = _read_only(np.array([2, 3, 5, 7], dtype=np.int64))
+    a = _read_only(np.array([0.5, -0.5j, 1.0, 0.0], dtype=np.complex128))
+    records = Records(p, a)
+    assert np.shares_memory(records.p, p) and np.shares_memory(records.a, a)
+    assert records == Records(p.tolist(), a.tolist())
 
 
 def test_replacing_a_note_keeps_the_certificate_type():
