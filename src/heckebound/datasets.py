@@ -511,11 +511,11 @@ def csv_chunks(dataset: Dataset):
         raise DatasetError("header source must not contain commas")
     yield f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
     for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
-        cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))
-        rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(*cols)]
-        if r.a_raw is not None:
-            rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw[block])]
-        yield "\n".join(rows) + "\n"
+        cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))  # no row outlives its block
+        if r.a_raw is None:
+            yield "".join([f"{p},{x!r},{y!r}\n" for p, x, y in zip(*cols)])
+        else:
+            yield "".join([f"{p},{x!r},{y!r},{raw}\n" for p, x, y, raw in zip(*cols, r.a_raw[block])])
 
 
 def read_csv(path: str | Path) -> Dataset:
