@@ -146,13 +146,15 @@ def _read_only(array):
 )
 def test_records_copy_what_they_do_not_own(given):
     p, a = given()
+    writable = [not isinstance(c, np.ndarray) or c.flags.writeable for c in (p, a)]
     records = Records(p, a)
     before = records.p.tolist(), records.a.tolist()
-    for given_column, column in ((p, records.p), (a, records.a)):
+    for given_column, column, was_writable in zip((p, a), (records.p, records.a), writable):
         if isinstance(given_column, np.ndarray):
             assert not np.shares_memory(given_column, column)
-            if given_column.flags.writeable:  # the caller's array is not frozen, nor seen through
-                given_column[0] = 1
+            assert given_column.flags.writeable == was_writable  # the caller's array is not frozen
+        if was_writable:  # nor seen through
+            given_column[0] = 1
     assert (records.p.tolist(), records.a.tolist()) == before
     assert not (records.p.flags.writeable or records.a.flags.writeable)
 
