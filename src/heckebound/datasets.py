@@ -15,9 +15,10 @@ CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
-The reader parses the rows as `dumps_csv` writes them in one numpy pass and
-any other text with a per-row loop that names the line of a fault it parses;
-one tail checks primality and the model's rules on the columns of either.
+read_csv and loads_csv share one reader over UTF-8 bytes: it parses the rows as
+`dumps_csv` writes them in one numpy pass and any other text with a per-row loop
+that names the line of a fault it parses; one tail checks primality and the
+model's rules on the columns of either.
 """
 
 from __future__ import annotations
@@ -509,6 +510,12 @@ def csv_chunks(dataset: Dataset):
     h, r = dataset.header, dataset.records
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
+    if h.source.splitlines() not in ([], [h.source]):  # the reader would cut the header there
+        raise DatasetError("header source must not contain a line break")
+    if h.source != h.source.strip():  # the reader strips it
+        raise DatasetError("header source must not start or end with whitespace")
+    if any("\ud800" <= c <= "\udfff" for c in h.source):  # UTF-8 cannot encode one
+        raise DatasetError("header source must not contain a lone surrogate")
     yield f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
     for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
         cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))  # no row outlives its block
@@ -519,23 +526,15 @@ def csv_chunks(dataset: Dataset):
 
 
 def read_csv(path: str | Path) -> Dataset:
-    """loads_csv on a file read as bytes once, its lines ended as text mode
-    ends them.  An ASCII body, the bytes after the first newline, goes to the
-    one-pass reader undecoded, and the header is decoded through its newline,
-    so that a UTF-8 fault reads as it would in the whole file."""
-    data = Path(path).read_bytes()
-    if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, nl, body = data.partition(b"\n")
-    ascii_body = body.isascii()
-    if ascii_body:
-        data = head + nl
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # number the line as loads_csv's splitlines would
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    return _load(text.removesuffix("\n"), body) if ascii_body else loads_csv(text)
+    """loads_csv on a file read as bytes once."""
+    return _load(Path(path).read_bytes())
+
+
+def loads_csv(text: str) -> Dataset:
+    """Parse a CSV dataset: one numpy pass over the canonical rows, the
+    per-row loop for anything else, then one check of the columns of either,
+    which names the line of the first bad row."""
+    return _load(text.encode("utf-8", "surrogatepass"))
 
 
 def _parse_header(line: str) -> DatasetHeader:
@@ -563,16 +562,13 @@ def _parse_header(line: str) -> DatasetHeader:
         raise DatasetFormatError(str(exc), line=1) from None
 
 
-def _loads_columns(body: str | bytes):
+def _loads_columns(body: bytes):
     """The rows of body, as dumps_csv writes them, parsed in one numpy pass
     into (p, a, a_raw); None where loadtxt cannot read them or a p is outside
-    2..MAX_P, so that the per-row loop names the fault."""
-    if not body.isascii():
-        return None
-    # bytes: loadtxt would widen a str to 4 bytes a character
-    data = body.encode("ascii") if isinstance(body, str) else body
-    width = data.count(b",", 0, data.find(b"\n")) + 1  # loadtxt holds every row to it
-    if width not in (3, 4) or data.translate(None, CSV_BYTES):
+    2..MAX_P, so that the per-row loop names the fault.  body stays bytes, which
+    loadtxt reads as they are; a str it would widen to 4 bytes a character."""
+    width = body.count(b",", 0, body.find(b"\n")) + 1  # loadtxt holds every row to it
+    if width not in (3, 4) or body.translate(None, CSV_BYTES):
         return None
     fields = [("p", np.int64), ("re", np.float64), ("im", np.float64), ("raw", object)]
     with warnings.catch_warnings():
@@ -581,12 +577,11 @@ def _loads_columns(body: str | bytes):
         warnings.simplefilter("error")
         try:
             cols = np.loadtxt(
-                io.BytesIO(data), dtype=fields[:width], delimiter=",", comments=None,
+                io.BytesIO(body), dtype=fields[:width], delimiter=",", comments=None,
                 ndmin=1, converters={3: int} if width == 4 else None,
             )
         except (ValueError, Warning):
             return None
-    del data  # only the columns are needed from here
     p = cols["p"].copy()  # owned, so that Records adopts it and cols can go
     if p.min() < 2 or p.max() > MAX_P:  # before p sizes loads_csv's sieve
         return None
@@ -629,29 +624,32 @@ def _loads_rows(lines: list[str]):
     return np.array(ps, dtype=np.int64), a, raws if width == 4 else None
 
 
-def loads_csv(text: str) -> Dataset:
-    """Parse a CSV dataset: one numpy pass over the canonical rows, the
-    per-row loop for anything else, then one check of the columns of either,
-    which names the line of the first bad row."""
-    head, _, body = text.partition("\n")
-    return _load(head, body)
+def _load(data: bytes) -> Dataset:
+    """The dataset in UTF-8 CSV bytes, as loads_csv reads it, with lines
+    ended as text mode ends them and cut as str.splitlines cuts them.  An ASCII
+    body, the bytes after the first newline, goes to the one-pass reader
+    undecoded; only the per-row loop and a fault decode it."""
+    if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, nl, body = data.partition(b"\n")
+    if body.isascii():  # the one-pass reader may take it: decode the header alone
+        data = head + nl
+    else:  # only the per-row loop reads it, decoded with the header
+        body = b""
+    try:  # through the newline, so that a fault reads as it would in the whole text
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # number the line as splitlines would
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    first, *rest = text.splitlines() or [""]  # a header with '\x0b', '\x85', ... is more than one line
 
+    def lines() -> list[str]:  # after the header; text ends at a newline, so body's lines follow rest
+        return rest + body.decode("ascii").splitlines()
 
-def _lines(head: str, body: str | bytes) -> list[str]:
-    """The lines after the header of the text head + '\n' + body, as
-    splitlines cuts them."""
-    text = head + "\n" + (body if isinstance(body, str) else body.decode("ascii"))
-    return text.splitlines()[1:]
-
-
-def _load(head: str, body: str | bytes) -> Dataset:
-    """loads_csv on the text's first line and the rest, which is ASCII bytes
-    when read_csv read it; only the per-row loop and a fault decode those."""
-    first = head.splitlines()  # '\r', '\x0b', ... end a line for splitlines too
-    header = _parse_header(first[0] if first else "")
-    columns = _loads_columns(body) if first == [head] else None
+    header = _parse_header(first)
+    columns = None if rest else _loads_columns(body)
     if columns is None:
-        columns = _loads_rows(_lines(head, body))
+        columns = _loads_rows(lines())
     p, a, raw = columns
     try:
         composite = ~_sieve(int(p.max(initial=2)))[p]
@@ -659,7 +657,7 @@ def _load(head: str, body: str | bytes) -> Dataset:
             row = int(np.argmax(composite))
             raise DatasetError(f"p = {p[row]} is not prime", row=row)
         return Dataset(header, Records(p, a, raw))
-    except DatasetError as exc:  # each fault names its row; the file names the row's line
-        rows = (n for n, line in enumerate(_lines(head, body), start=2) if line.strip())
+    except DatasetError as exc:  # each fault names its row; the text names the row's line
+        rows = (n for n, line in enumerate(lines(), start=2) if line.strip())
         line = next(itertools.islice(rows, exc.row, None))
         raise DatasetFormatError(str(exc), line=line) from None

@@ -541,6 +541,51 @@ def test_refused_source_leaves_the_target_unchanged(tmp_path):
     assert not new.exists()
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("a\nb", "contain a line break"),
+        ("a\x0bb", "contain a line break"),
+        ("a\u2028b", "contain a line break"),
+        ("a\rb", "contain a line break"),
+        (" padded ", "start or end with whitespace"),
+        ("padded\t", "start or end with whitespace"),
+        ("a\ud800b", "contain a lone surrogate"),
+    ],
+    ids=["newline", "vertical-tab", "line-separator", "carriage-return", "padded", "tab", "surrogate"],
+)
+def test_source_the_reader_cannot_read_back_is_refused(tmp_path, source, message):
+    # the reader cuts a line wherever splitlines does, strips the value and
+    # decodes UTF-8: such a source would not come back, so none is written
+    data = Dataset(DatasetHeader(source, True, 10), Records([2, 3], [0.5, -0.5]))
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"# source=kept,self_dual=true,X=10\n2,0.5,0.0\n")
+    for path in (kept, new):
+        with pytest.raises(DatasetError, match=f"^header source must not {message}$"):
+            write_csv(path, data)
+    with pytest.raises(DatasetError, match=f"^header source must not {message}$"):
+        dumps_csv(data)
+    assert kept.read_bytes() == b"# source=kept,self_dual=true,X=10\n2,0.5,0.0\n"
+    assert not new.exists()
+
+
+SOURCE_CHARS = [",", "=", "#", " ", "\t", "\n", "\r", "\x0b", "\x85", "\u2028", "\xa0", "\ud800", "\udfff", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(SOURCE_CHARS), st.characters(exclude_categories=())), max_size=8))
+def test_every_source_the_writer_takes_reads_back(tmp_path_factory, source):
+    data = Dataset(DatasetHeader(source, False, 10), Records([2, 3], [0.5, -0.5j], [1, -2]))
+    path = tmp_path_factory.getbasetemp() / "source.csv"
+    try:
+        write_csv(path, data)
+    except DatasetError:
+        with pytest.raises(DatasetError):
+            dumps_csv(data)
+        return
+    assert read_csv(path) == loads_csv(dumps_csv(data)) == data
+
+
 def test_sampler_and_reader_columns_hold_no_larger_array(tmp_path, st_100k):
     # neither the sieve's primes nor the reader's table of parsed fields
     # outlives the columns cut from it
@@ -590,7 +635,7 @@ def outcome(load, text):
 def test_one_pass_reader_takes_every_generated_file(st_100k, tau_10k, ec_11a1):
     for data in (st_100k, tau_10k, ec_11a1):
         text = dumps_csv(data)
-        assert datasets._loads_columns(text.partition("\n")[2]) is not None
+        assert datasets._loads_columns(text.partition("\n")[2].encode()) is not None
         assert outcome(loads_csv, text) == outcome(per_row, text) == outcome(lambda _: data, text)
 
 
@@ -718,6 +763,21 @@ def test_one_pass_reader_allocates_less_than_the_per_row_loop():
             tracemalloc.stop()
     assert peaks[0] < peaks[1]
     assert peaks[0] < 4 * len(text)
+
+
+def test_read_csv_holds_one_copy_of_the_file(tmp_path):
+    # the file's bytes go once the body is split off: the reader peaks near
+    # 2.6 times the file size, one that kept them beside the body near 3.6
+    path = tmp_path / "st.csv"
+    write_csv(path, sato_tate_sample(20_000, 5))
+    read_csv(path)  # lazy imports and caches come before the count
+    tracemalloc.start()
+    try:
+        read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_round_trip_empty():
@@ -862,6 +922,32 @@ def test_header_cut_short_at_its_newline_names_the_byte(tmp_path, newline):
     path.write_bytes(newline.join([b"# source=x,self_dual=true,X=10\xc3", b"3,0.1,0.0", b""]))
     with pytest.raises(DatasetFormatError, match="^line 1: not UTF-8 text: invalid continuation byte$"):
         read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# source=\ud800,self_dual=true,X=10\n3,0.1,0.0\n", 1),
+        ("# source=x,self_dual=true,X=10\n3,0.1,0.0\n5,0.\udc001,0.0\n", 3),
+        ("# source=x,self_dual=true,X=10\n3,0.1,0.0\n\x85\n5,0.1,\ud83d\ude00\n", 5),
+    ],
+    ids=["header", "row", "row-after-splitlines-break"],
+)
+def test_lone_surrogate_in_text_names_its_line(text, line):
+    # no file holds one; loads_csv refuses it as read_csv refuses a byte that is not UTF-8
+    message = f"line {line}: not UTF-8 text: invalid continuation byte"
+    with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+        loads_csv(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(st.one_of(st.sampled_from(["\ud800", "\udfff", "\n", ",", "5"]), st.characters(exclude_categories=())))
+)
+def test_no_text_escapes_the_reader_as_a_unicode_error(text):
+    # outcome lets only a DatasetError through as a result
+    for full in (under_head(text), text + "\n3,0.1,0.0\n"):
+        outcome(loads_csv, full)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

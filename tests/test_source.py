@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "heckebound").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [path for part in ("src/heckebound", "tests", "bench") for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def unused_imports(path: Path) -> list[str]:
