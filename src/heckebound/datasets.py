@@ -510,13 +510,14 @@ def csv_chunks(dataset: Dataset):
     h, r = dataset.header, dataset.records
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
-    if h.source.splitlines() not in ([], [h.source]):  # the reader would cut the header there
-        raise DatasetError("header source must not contain a line break")
-    if h.source != h.source.strip():  # the reader strips it
-        raise DatasetError("header source must not start or end with whitespace")
-    if any("\ud800" <= c <= "\udfff" for c in h.source):  # UTF-8 cannot encode one
-        raise DatasetError("header source must not contain a lone surrogate")
-    yield f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
+    line = f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
+    try:  # the reader's own header step, so that its rules live in one place
+        readable = _head(line.encode("utf-8", "surrogatepass")) == (h, [])
+    except DatasetFormatError:
+        readable = False
+    if not readable:
+        raise DatasetError(f"header line {line!r} would not read back as written")
+    yield line
     for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
         cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))  # no row outlives its block
         if r.a_raw is None:
@@ -527,39 +528,14 @@ def csv_chunks(dataset: Dataset):
 
 def read_csv(path: str | Path) -> Dataset:
     """loads_csv on a file read as bytes once."""
-    return _load(Path(path).read_bytes())
+    return _load(Path(path).read_bytes)
 
 
 def loads_csv(text: str) -> Dataset:
     """Parse a CSV dataset: one numpy pass over the canonical rows, the
     per-row loop for anything else, then one check of the columns of either,
     which names the line of the first bad row."""
-    return _load(text.encode("utf-8", "surrogatepass"))
-
-
-def _parse_header(line: str) -> DatasetHeader:
-    if not line.startswith("#"):
-        raise DatasetFormatError("missing '#' header line", line=1)
-    fields = {}
-    for item in line.lstrip("#").strip().split(","):
-        if "=" not in item:
-            raise DatasetFormatError(f"malformed header item {item!r}", line=1)
-        key, value = item.split("=", 1)
-        fields[key.strip()] = value.strip()
-    normalization = fields.get("normalization", "unitary")
-    if normalization != "unitary":
-        raise DatasetFormatError(f"normalization {normalization!r} is not unitary", line=1)
-    try:
-        if "_" in fields["X"] or not fields["X"].isascii():  # int() reads both as digits
-            raise ValueError(f"header X={fields['X']!r} is not an ASCII integer")
-        source, self_dual = fields["source"], fields["self_dual"]
-        if self_dual not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {self_dual!r}")
-        return DatasetHeader(source, self_dual == "true", int(fields["X"]))
-    except KeyError as exc:
-        raise DatasetFormatError(f"header missing key {exc}", line=1) from None
-    except (ValueError, DatasetError) as exc:
-        raise DatasetFormatError(str(exc), line=1) from None
+    return _load(lambda: text.encode("utf-8", "surrogatepass"))
 
 
 def _loads_columns(body: bytes):
@@ -624,11 +600,42 @@ def _loads_rows(lines: list[str]):
     return np.array(ps, dtype=np.int64), a, raws if width == 4 else None
 
 
-def _load(data: bytes) -> Dataset:
-    """The dataset in UTF-8 CSV bytes, as loads_csv reads it, with lines
-    ended as text mode ends them and cut as str.splitlines cuts them.  An ASCII
-    body, the bytes after the first newline, goes to the one-pass reader
-    undecoded; only the per-row loop and a fault decode it."""
+def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
+    """The header on the first line of UTF-8 data, and the lines after it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # number the line as splitlines would
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    line, *rest = text.splitlines() or [""]  # a header with '\x0b', '\x85', ... is more than one line
+    if not line.startswith("#"):
+        raise DatasetFormatError("missing '#' header line", line=1)
+    fields = {}
+    for item in line.lstrip("#").strip().split(","):
+        if "=" not in item:
+            raise DatasetFormatError(f"malformed header item {item!r}", line=1)
+        key, value = item.split("=", 1)
+        fields[key.strip()] = value.strip()
+    normalization = fields.get("normalization", "unitary")
+    if normalization != "unitary":
+        raise DatasetFormatError(f"normalization {normalization!r} is not unitary", line=1)
+    try:
+        if "_" in fields["X"] or not fields["X"].isascii():  # int() reads both as digits
+            raise ValueError(f"header X={fields['X']!r} is not an ASCII integer")
+        source, self_dual = fields["source"], fields["self_dual"]
+        if self_dual not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {self_dual!r}")
+        return DatasetHeader(source, self_dual == "true", int(fields["X"])), rest
+    except KeyError as exc:
+        raise DatasetFormatError(f"header missing key {exc}", line=1) from None
+    except (ValueError, DatasetError) as exc:
+        raise DatasetFormatError(str(exc), line=1) from None
+
+
+def _load(read) -> Dataset:
+    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as
+    text mode ends them; an ASCII body reaches the one-pass reader undecoded."""
+    data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     head, nl, body = data.partition(b"\n")
@@ -636,17 +643,11 @@ def _load(data: bytes) -> Dataset:
         data = head + nl
     else:  # only the per-row loop reads it, decoded with the header
         body = b""
-    try:  # through the newline, so that a fault reads as it would in the whole text
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # number the line as splitlines would
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    first, *rest = text.splitlines() or [""]  # a header with '\x0b', '\x85', ... is more than one line
+    header, rest = _head(data)  # through the newline, so that a fault reads as in the whole text
 
-    def lines() -> list[str]:  # after the header; text ends at a newline, so body's lines follow rest
+    def lines() -> list[str]:  # after the header; data ends at a newline, so body's lines follow rest
         return rest + body.decode("ascii").splitlines()
 
-    header = _parse_header(first)
     columns = None if rest else _loads_columns(body)
     if columns is None:
         columns = _loads_rows(lines())
