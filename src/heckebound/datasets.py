@@ -23,11 +23,13 @@ model's rules on the columns of either.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
 import math
 import operator
+import os
 import warnings
 from collections import namedtuple
 from pathlib import Path
@@ -495,8 +497,16 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
 
 
 def write_csv(path: str | Path, dataset: Dataset) -> None:
+    """Write dataset's CSV to path, replacing a regular file there (unlinked,
+    not truncated, which ext4 flushes on close): the new file gets the umask's
+    mode, a hard link keeps the old bytes, a symlink's target is replaced, and
+    anything else (/dev/null, a FIFO) or a file that cannot be unlinked is written in place."""
     chunks = csv_chunks(dataset)
     head = next(chunks)  # a refused header leaves the file as it was
+    target = os.path.realpath(path)  # not Path.resolve, which raises RuntimeError on a loop before 3.13
+    if os.path.isfile(target):
+        with contextlib.suppress(OSError):
+            os.unlink(target)
     with Path(path).open("w", encoding="utf-8") as f:
         f.writelines(itertools.chain([head], chunks))
 

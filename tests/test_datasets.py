@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heckebound import datasets
+from heckebound.cli import main
 from heckebound.datasets import (
     CSV_BLOCK,
     CURVE_11A1,
@@ -539,6 +540,107 @@ def test_refused_source_leaves_the_target_unchanged(tmp_path):
             write_csv(path, data)
     assert kept.read_bytes() == b"# source=kept,self_dual=true,X=10\n2,0.5,0.0\n"
     assert not new.exists()
+
+
+SHORT = Dataset(DatasetHeader("short", True, 3), Records([2, 3], [0.5, -0.5]))
+LONG_BYTES = dumps_csv(sato_tate_sample(500, 3)).encode("utf-8")
+
+
+def test_shorter_dataset_over_a_longer_file_gives_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    write_csv(path, SHORT)
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+
+
+def test_a_regular_file_is_replaced_not_truncated(tmp_path):
+    # a new inode: the old file was unlinked, so ext4 has no truncated file to flush on close
+    path = tmp_path / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    old = os.stat(path).st_ino
+    keep = path.open("rb")  # holds the old inode, so its number cannot be reused
+    try:
+        write_csv(path, SHORT)
+        assert os.stat(path).st_ino != old
+        assert keep.read() == LONG_BYTES
+    finally:
+        keep.close()
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+
+
+def test_a_symlink_stays_and_its_target_gets_the_new_bytes(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(LONG_BYTES)
+    link.symlink_to(target)
+    write_csv(link, SHORT)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+
+
+def test_a_second_hard_link_keeps_the_old_bytes(tmp_path):
+    path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    path.write_bytes(LONG_BYTES)
+    os.link(path, other)
+    write_csv(path, SHORT)
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+    assert other.read_bytes() == LONG_BYTES
+
+
+@pytest.mark.parametrize("kind", ["directory", "symlink-loop"])
+def test_an_unwritable_path_raises_and_generate_exits_one(tmp_path, capsys, kind):
+    # a symlink loop is an OSError here too, not Path.resolve's RuntimeError
+    path = tmp_path / "out"
+    if kind == "directory":
+        path.mkdir()
+        (path / "inside.csv").write_bytes(LONG_BYTES)
+    else:
+        path.symlink_to(path)
+    with pytest.raises(OSError):
+        write_csv(path, SHORT)
+    assert main(["generate", "--kind", "tau", "--x", "50", "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    if kind == "directory":
+        assert [p.name for p in path.iterdir()] == ["inside.csv"]
+        assert (path / "inside.csv").read_bytes() == LONG_BYTES
+    else:
+        assert os.readlink(path) == str(path)
+
+
+def test_a_non_regular_target_is_written_through_never_unlinked(monkeypatch):
+    # as root an unguarded writer would delete /dev/null, so unlinking raises here
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"unlink called on {args}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    monkeypatch.setattr(Path, "unlink", refuse)
+    write_csv(os.devnull, SHORT)
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("block", ["read-only-directory", "unlink-raises"])
+def test_a_file_that_cannot_be_unlinked_is_written_in_place(tmp_path, monkeypatch, block):
+    # in a 0o555 directory unlink fails for a non-root user (CI's runner), so the
+    # open truncates the writable file as before; root may unlink there anyway,
+    # so the second case makes unlink fail whoever runs the test
+    folder = tmp_path / "locked"
+    folder.mkdir()
+    path = folder / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    old = os.stat(path).st_ino
+    if block == "unlink-raises":
+
+        def refuse(target, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", target)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+    folder.chmod(0o555)
+    try:
+        write_csv(path, SHORT)
+    finally:
+        folder.chmod(0o755)
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+    if block == "unlink-raises":
+        assert os.stat(path).st_ino == old
 
 
 @pytest.mark.parametrize(
