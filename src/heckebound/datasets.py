@@ -503,7 +503,7 @@ def write_csv(path: str | Path, dataset: Dataset) -> None:
     anything else (/dev/null, a FIFO) or a file that cannot be unlinked is written in place."""
     chunks = csv_chunks(dataset)
     head = next(chunks)  # a refused header leaves the file as it was
-    target = os.path.realpath(path)  # not Path.resolve, which raises RuntimeError on a loop before 3.13
+    target = os.path.realpath(path)  # not Path.resolve, which raises RuntimeError on a symlink loop
     if os.path.isfile(target):
         with contextlib.suppress(OSError):
             os.unlink(target)
