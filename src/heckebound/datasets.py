@@ -497,14 +497,14 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
 
 
 def write_csv(path: str | Path, dataset: Dataset) -> None:
-    """Write dataset's CSV to path, replacing a regular file there (unlinked,
-    not truncated, which ext4 flushes on close): the new file gets the umask's
-    mode, a hard link keeps the old bytes, a symlink's target is replaced, and
-    anything else (/dev/null, a FIFO) or a file that cannot be unlinked is written in place."""
+    """Write dataset's CSV to path.  A writable regular file there (a symlink's target) is unlinked and
+    created anew, not truncated, skipping ext4's flush on close that guards against an empty file after
+    a crash: a crash soon after, or a failed open, may leave no data (datasets regenerate from a seed).
+    The new file gets the umask's mode, the writer's owner and no ACL; hard links keep the old bytes."""
     chunks = csv_chunks(dataset)
     head = next(chunks)  # a refused header leaves the file as it was
     target = os.path.realpath(path)  # not Path.resolve, which raises RuntimeError on a symlink loop
-    if os.path.isfile(target):
+    if os.path.isfile(target) and os.access(target, os.W_OK):  # else opened as before
         with contextlib.suppress(OSError):
             os.unlink(target)
     with Path(path).open("w", encoding="utf-8") as f:

@@ -643,6 +643,31 @@ def test_a_file_that_cannot_be_unlinked_is_written_in_place(tmp_path, monkeypatc
         assert os.stat(path).st_ino == old
 
 
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_read_only_file_is_refused_and_kept(tmp_path, capsys):
+    # open refuses a 0o444 file to a non-root user (CI's runner), so it must not be unlinked first
+    path = tmp_path / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    path.chmod(0o444)
+    with pytest.raises(PermissionError):
+        write_csv(path, SHORT)
+    assert main(["generate", "--kind", "tau", "--x", "50", "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_bytes() == LONG_BYTES
+
+
+def test_a_file_the_writer_may_not_write_is_not_unlinked(tmp_path, monkeypatch):
+    # the test above for whoever runs it: os.access says no, so the file is not unlinked but opened
+    # in place, where root's open succeeds anyway and truncates it
+    path = tmp_path / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    with path.open("rb") as keep:  # holds the inode, so a replacement could not reuse its number
+        write_csv(path, SHORT)
+        assert os.stat(path).st_ino == os.fstat(keep.fileno()).st_ino
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "header",
     [
