@@ -2,10 +2,8 @@
 
 Three generators at desk scale, each capped: point counts on a short
 Weierstrass model (p <= EC_X_CAP; baby-step giant-step on blocks of primes
-above 229 at once as int64 arrays, and per prime for the rest and for any
-prime a block leaves with more than one count, with the O(p) character sweep
-only where the curve's points leave the count ambiguous, which Mestre's
-theorem rules out above 229), the weight-12 level-1
+at once as int64 arrays decides each prime where one of four points fixes
+the count, and the O(p) character sweep settles the rest), the weight-12 level-1
 q-expansion as Jacobi's cube series to the 8th power modulo four primes,
 lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
 sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
@@ -163,99 +161,14 @@ def _first_primes(n: int) -> np.ndarray:
 
 def _ec_trace(A: int, B: int, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for y^2 = x^3 + Ax + B via a full
-    quadratic-character sweep over x: O(p), for the small primes where
-    baby-step giant-step runs out of points, and its test oracle."""
+    quadratic-character sweep over x: O(p), exact at every p, for the primes
+    that _ec_trace_batch leaves undecided, and its test oracle."""
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(xs * xs) % p] = 1
     chi[0] = 0
     f = (xs * xs % p * xs + (A % p) * xs + B % p) % p
     return -int(chi[f].sum())
-
-
-def _ec_add(P, Q, a: int, p: int):
-    """P + Q on y^2 = x^3 + ax + b over F_p; points are (x, y) with
-    coordinates in 0..p-1, and None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    (x1, y1), (x2, y2) = P, Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
-
-
-def _ec_mul(n: int, P, a: int, p: int):
-    R = None
-    for bit in bin(n)[2:]:
-        R = _ec_add(R, R, a, p)
-        if bit == "1":
-            R = _ec_add(R, P, a, p)
-    return R
-
-
-def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
-    """Every N in lo..hi with N*P = O: baby steps j*P (j <= s, keyed by x)
-    and giant steps of (2s+1)*P, so each N = m + e with |e| <= s is read off
-    m*P = -e*P."""
-    s = math.isqrt((hi - lo) // 2) + 1
-    baby = {}
-    R = None
-    for j in range(1, s + 1):
-        R = _ec_add(R, P, a, p)
-        if R is None or R[0] in baby:
-            # The first return to O or to a known x is j*P = O or j*P = -i*P,
-            # so P has order n = j or i + j <= 2s.  A giant step would then
-            # see several e for one m, so list every multiple of n instead.
-            n = j if R is None else j + baby[R[0]][0]
-            return set(range(-(-lo // n) * n, hi + 1, n))
-        baby[R[0]] = (j, R[1])
-    step = _ec_add(_ec_add(R, R, a, p), P, a, p)
-    found = set()
-    G = _ec_mul(lo + s, P, a, p)
-    for m in range(lo + s, hi + s + 1, 2 * s + 1):
-        if G is None:
-            found.add(m)
-        elif G[0] in baby:  # G = j*P (e = -j) or -j*P (e = j); both if 2-torsion
-            j, y = baby[G[0]]
-            if G[1] == y:
-                found.add(m - j)
-            if G[1] == -y % p:
-                found.add(m + j)
-        G = _ec_add(G, step, a, p)
-    return {n for n in found if lo <= n <= hi}
-
-
-def _ec_trace_bsgs(A: int, B: int, p: int) -> int:
-    """a_p by Shanks-Mestre baby-step giant-step.
-
-    For x = 0, 1, 2, ... with f = x^3 + Ax + B != 0, the point (xf, f^2)
-    lies on y^2 = x^3 + Af^2 x + Bf^3: E itself when f is a square mod p,
-    else its quadratic twist, whose count is 2p + 2 - #E.  #E is among the
-    annihilators in the Hasse interval of every such point, so once their
-    intersection is a single N it is #E, at every p.  Only when every x is
-    used with several N left does the sweep `_ec_trace` decide; above
-    Mestre's bound 229 one point of E or its twist fixes #E, so it never does."""
-    w = math.isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    counts = None
-    for x in range(p):
-        f = (x * x * x + A * x + B) % p
-        if not f:
-            continue
-        found = _annihilators((x * f % p, f * f % p), A * f * f % p, p, lo, hi)
-        if pow(f, (p - 1) // 2, p) != 1:
-            found = {2 * p + 2 - n for n in found}
-        counts = found if counts is None else counts & found
-        if len(counts) == 1:
-            return p + 1 - counts.pop()
-    return _ec_trace(A, B, p)
 
 
 def _pow_mod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -296,8 +209,12 @@ def _proj_double(P, a, p):
 
 def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     """(a_p, decided) at each of ps, an int64 array of good primes from 5 to
-    2^31 (so every product of two residues fits int64), from the point that
-    _ec_trace_bsgs tries point-th (from 0) on y^2 = x^3 + Ax + B.
+    2^31 (so every product of two residues fits int64), from the point-th
+    (from 0) x = 0, 1, 2, ... with f = x^3 + Ax + B != 0 mod p.  The point
+    (xf, f^2) lies on E_f: y^2 = x^3 + Af^2 x + Bf^3, which is E itself when f
+    is a square mod p, else its quadratic twist, whose count is 2p + 2 - #E.
+    (At p = 5 and 7 the x may pass p - 1; it then repeats an earlier point or
+    has f = 0, where y = 0 leaves the prime undecided.)
 
     The point's annihilators N in the Hasse interval are counted by one
     baby-step giant-step on all of ps at once, in projective coordinates,
@@ -366,12 +283,11 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     """Unitarily normalized a_p/sqrt(p) for all good primes p <= X of the
     curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped.
 
-    The good primes above Mestre's bound 229 go to _ec_trace_batch in blocks
-    of EC_BLOCK, with the first point and then, at the primes where that
-    leaves more than one count, the second.  _ec_trace_bsgs, the scalar path, counts
-    the primes up to 229 and every prime the batch leaves.  The batch decides
-    only where one point's annihilators in the Hasse interval are a single N,
-    which is then #E_f, so it agrees with the scalar path exactly."""
+    The good primes from 5 go to _ec_trace_batch in blocks of EC_BLOCK, with
+    the first point and then, at the primes each point leaves, the next, up
+    to four.  The batch decides only where one point's annihilators in the
+    Hasse interval are a single N, which is then #E_f, so it is exact at
+    every p; the sweep _ec_trace counts what it leaves, and p = 3."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
         raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
@@ -382,14 +298,14 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     skipped, good = [], []
     for p in primes_up_to(X):
         (good if (2 * disc) % p else skipped).append(p)
-    pending, found = np.array([p for p in good if p > 229], dtype=np.int64), {}
-    for point in (0, 1):  # the primes the first point leaves get a second one
+    pending, found = np.array([p for p in good if p > 3], dtype=np.int64), {}
+    for point in range(4):  # the primes each point leaves get the next one
         for i in range(0, len(pending), EC_BLOCK):
             block = pending[i : i + EC_BLOCK]
             ap, decided = _ec_trace_batch(A, B, block, point)
             found.update(zip(block[decided].tolist(), ap[decided].tolist()))
         pending = np.array([p for p in pending.tolist() if p not in found], dtype=np.int64)
-    raw = [found[p] if p in found else _ec_trace_bsgs(A, B, p) for p in good]
+    raw = [found[p] if p in found else _ec_trace(A, B, p) for p in good]
     a = [ap / math.sqrt(p) for p, ap in zip(good, raw)]
     source = f"ec[a={A};b={B};skipped={';'.join(map(str, skipped))}]"
     return Dataset(DatasetHeader(source, True, X), Records(good, a, raw))

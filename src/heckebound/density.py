@@ -152,7 +152,7 @@ def verify_theorem(
     extremity = sign * vals
     mask = extremity > constant - epsilon
     idx = np.nonzero(mask)[0]
-    top = idx[np.argsort(-extremity[idx])][:10]
+    top = idx[np.argsort(-extremity[idx], kind="stable")][:10]
     witnesses = tuple((int(records.p[i]), float(vals[i])) for i in top)
     count = int(mask.sum())
     required = math.floor(WITNESS_FRACTION * len(records))

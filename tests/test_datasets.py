@@ -83,129 +83,88 @@ def test_ec_matches_brute_force_small_curve():
 
 
 def sweep_traces(A, B, data):
-    # the O(p) character sweep, baby-step giant-step's last resort and oracle
+    # the O(p) character sweep, the batch's fallback and oracle
     return [datasets._ec_trace(A, B, p) for p in data.records.p.tolist()]
-
-
-@pytest.mark.parametrize(
-    "A, B, X",
-    [(*CURVE_11A1, 20_000), (-2, 3, 5_000), (0, 7, 5_000), (1, 0, 5_000), (-1, 0, 5_000)],
-)
-def test_ec_matches_character_sweep(A, B, X):
-    data = ec_ap(A, B, X)
-    assert list(data.records.a_raw) == sweep_traces(A, B, data)
-
-
-BSGS_PRIMES = primes_up_to(3000)[1:]  # every odd prime below 3000
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(BSGS_PRIMES))
-def test_bsgs_matches_character_sweep(A, B, p):
-    assume((4 * A ** 3 + 27 * B ** 2) % p)
-    assert datasets._ec_trace_bsgs(A, B, p) == datasets._ec_trace(A, B, p)
-
-
-@pytest.mark.parametrize("A, B, p", [(-3, 3, 233), (-2, 1, 233)])
-def test_annihilators_complete_on_every_point(A, B, p):
-    # both groups have points of order 2s and below (s = 6 at p = 233), where
-    # one giant step matches several baby steps; walk N*P over the interval
-    w = math.isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    roots = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
-    curve = [(x, y) for x in range(p) for y in roots.get((x ** 3 + A * x + B) % p, [])]
-    for P in curve:
-        R, walked = datasets._ec_mul(lo, P, A % p, p), set()
-        for n in range(lo, hi + 1):
-            if R is None:
-                walked.add(n)
-            R = datasets._ec_add(R, P, A % p, p)
-        assert datasets._annihilators(P, A % p, p, lo, hi) == walked
-
-
-def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
-    sweep, swept = datasets._ec_trace, []
-
-    def counted(A, B, p):
-        swept.append((A, B, p))
-        return sweep(A, B, p)
-
-    monkeypatch.setattr(datasets, "_ec_trace", counted)
-    # every point of y^2 = x^3 - 6x mod 5 leaves two counts in the Hasse interval
-    assert datasets._ec_trace_bsgs(-6, 0, 5) == sweep(-6, 0, 5)
-    assert swept == [(-6, 0, 5)]
-    swept.clear()
-    data = ec_ap(*CURVE_11A1, 3000)
-    assert not swept
-    assert list(data.records.a_raw) == [sweep(*CURVE_11A1, p) for p in data.records.p.tolist()]
-    # above Mestre's bound 229 one point of E or its twist fixes the count
-    for p in (p for p in primes_up_to(400) if p > 229):
-        for A in range(-6, 7):
-            for B in range(-6, 7):
-                if (4 * A ** 3 + 27 * B ** 2) % p:
-                    datasets._ec_trace_bsgs(A, B, p)
-    assert not swept
-
-
-def scalar_traces(A, B, data):
-    # the per-prime baby-step giant-step, the batch's fallback and oracle
-    return [datasets._ec_trace_bsgs(A, B, p) for p in data.records.p.tolist()]
 
 
 @pytest.mark.parametrize(
     "A, B, X",
     [
         (*CURVE_11A1, 20_000),
+        (-2, 3, 5_000),
         (1, 0, 5_000),  # CM by Z[i]
         (-1, 0, 5_000),  # CM by Z[i], full rational 2-torsion
         (0, 7, 5_000),  # CM by Z[(1 + sqrt(-3))/2]
         (-7, 6, 5_000),  # (x - 1)(x - 2)(x + 3): full rational 2-torsion, no CM
     ],
 )
-def test_ec_batch_matches_scalar_path(A, B, X):
+def test_ec_matches_character_sweep(A, B, X):
     data = ec_ap(A, B, X)
-    assert list(data.records.a_raw) == scalar_traces(A, B, data)
+    assert list(data.records.a_raw) == sweep_traces(A, B, data)
+
+
+BATCH_PRIMES = primes_up_to(3000)[2:]  # every prime from 5 below 3000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.lists(st.sampled_from(BATCH_PRIMES), min_size=1, max_size=6, unique=True).map(sorted),
+)
+# both groups have points of order 2s and below (s = 6 at p = 233), where one
+# giant step matches several baby steps
+@example(-3, 3, [233])
+@example(-2, 1, [233])
+def test_batch_decisions_match_character_sweep(A, B, block):
+    # a block mixes large and small primes as ec_ap's do, so a small prime
+    # meets a baby count s sized for the largest
+    ps = np.array([p for p in block if (4 * A ** 3 + 27 * B ** 2) % p], dtype=np.int64)
+    assume(len(ps))
+    for point in range(4):
+        ap, decided = datasets._ec_trace_batch(A, B, ps, point)
+        for p, a in zip(ps[decided].tolist(), ap[decided].tolist()):
+            assert a == datasets._ec_trace(A, B, p)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_ec_batch_matches_scalar_path_on_drawn_curves(A, B):
+    # the scalar path is the sweep, the only per-prime count
     assume(4 * A ** 3 + 27 * B ** 2)
     data = ec_ap(A, B, 3000)
-    assert list(data.records.a_raw) == scalar_traces(A, B, data)
+    assert list(data.records.a_raw) == sweep_traces(A, B, data)
 
 
 def test_batch_leaves_the_scalar_path_only_what_it_cannot_decide(monkeypatch):
-    scalar, routed = datasets._ec_trace_bsgs, []
+    sweep, swept = datasets._ec_trace, []
 
     def counted(A, B, p):
-        routed.append(p)
-        return scalar(A, B, p)
+        swept.append(p)
+        return sweep(A, B, p)
 
-    monkeypatch.setattr(datasets, "_ec_trace_bsgs", counted)
+    monkeypatch.setattr(datasets, "_ec_trace", counted)
     # the first point of y^2 = x^3 + 1 is (0, 1), of order 3 <= 2s at every
-    # good prime: it decides none, and what the second point leaves is routed
-    ps = np.array([p for p in primes_up_to(3000) if p > 229], dtype=np.int64)
+    # good prime: it decides none, and the sweep settles what the later
+    # points leave (x = 2 gives (2, 3), of order 6)
+    ps = np.array(BATCH_PRIMES, dtype=np.int64)
     assert not datasets._ec_trace_batch(0, 1, ps, 0)[1].any()
     data = ec_ap(0, 1, 3000)
-    assert {p for p in routed if p > 229}
+    assert swept
     assert list(data.records.a_raw) == sweep_traces(0, 1, data)
-    # a batch that decides nothing would route every prime
-    routed.clear()
+    # a batch that decides nothing would sweep every prime
+    swept.clear()
     data = ec_ap(*CURVE_11A1, 40_000)
-    above = [p for p in data.records.p.tolist() if p > 229]
-    assert len([p for p in routed if p > 229]) < 0.1 * len(above)
+    assert 0 < len(swept) < 0.01 * len(data.records)
     raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
-    assert [raw[p] for p in routed] == [datasets._ec_trace(*CURVE_11A1, p) for p in routed]
+    assert [raw[p] for p in swept] == [sweep(*CURVE_11A1, p) for p in swept]
 
 
 def test_batch_memory_stays_blocked(monkeypatch):
-    # the bound is 4x ec_ap's peak with every prime sent to a stubbed scalar
-    # path: the lists and columns the scalar path builds too (its own
-    # per-prime tables hold a few dozen points); the batch's block tables add
-    # about 2x that, one block of every prime about 16x
+    # the bound is 4x ec_ap's peak with every prime sent to a stubbed sweep:
+    # the lists and columns ec_ap builds anyway; the batch's block tables and
+    # the sweeps of the primes they leave add about 2.5x that, one block of
+    # every prime about 16x
     def peak():
         tracemalloc.start()
         try:
@@ -218,7 +177,7 @@ def test_batch_memory_stays_blocked(monkeypatch):
     batched = peak()
     undecided = lambda A, B, ps, point: (ps, np.zeros(len(ps), dtype=bool))
     monkeypatch.setattr(datasets, "_ec_trace_batch", undecided)
-    monkeypatch.setattr(datasets, "_ec_trace_bsgs", lambda A, B, p: 0)
+    monkeypatch.setattr(datasets, "_ec_trace", lambda A, B, p: 0)
     assert batched < 4 * peak()
 
 

@@ -238,6 +238,13 @@ def test_verify_witnesses_sorted_by_extremity():
     values = [v for _, v in report.witnesses]
     assert values == sorted(values, reverse=True)
     assert report.witnesses[0][0] == 2  # the largest value sits at the first prime
+    # among ties the smallest p comes first, as in the benchmark's reference
+    ps = first_n_primes(1000)
+    a = np.random.default_rng(7).choice([1.2, 1.5, 1.6], size=len(ps))
+    report = verify_theorem(Records(ps, a), "t1pos")
+    assert report.count > 10
+    ranked = sorted(zip(ps, a.tolist()), key=lambda w: -w[1])  # sorted is stable
+    assert list(report.witnesses) == ranked[:10]
 
 
 BOUNDARY_ENTRIES = st.sampled_from(["c-eps", "-c+eps"])
