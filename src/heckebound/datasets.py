@@ -3,8 +3,8 @@
 Three generators at desk scale, each capped: point counts on a short
 Weierstrass model (p <= EC_X_CAP; baby-step giant-step on blocks of primes
 at once as int64 arrays decides each prime where one of four points fixes
-the count, and the O(p) character sweep settles the rest), the weight-12 level-1
-q-expansion as Jacobi's cube series to the 8th power modulo four primes,
+the count, and the O(p) character sweep settles the rest), the weight-12
+level-1 q-expansion as Jacobi's cube series to the 8th power modulo four primes,
 lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
 sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
 is a header plus `Records`: columns of primes p, unitarily normalized
