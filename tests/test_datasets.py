@@ -18,6 +18,7 @@ from heckebound.cli import main
 from heckebound.datasets import (
     CSV_BLOCK,
     CURVE_11A1,
+    EC_BLOCK,
     EC_X_CAP,
     MAX_P,
     ST_N_CAP,
@@ -116,7 +117,7 @@ BATCH_PRIMES = primes_up_to(3000)[2:]  # every prime from 5 below 3000
 # giant step matches several baby steps
 @example(-3, 3, [233])
 @example(-2, 1, [233])
-def test_batch_decisions_match_character_sweep(A, B, block):
+def test_bsgs_matches_character_sweep(A, B, block):
     # a block mixes large and small primes as ec_ap's do, so a small prime
     # meets a baby count s sized for the largest
     ps = np.array([p for p in block if (4 * A ** 3 + 27 * B ** 2) % p], dtype=np.int64)
@@ -125,6 +126,76 @@ def test_batch_decisions_match_character_sweep(A, B, block):
         ap, decided = datasets._ec_trace_batch(A, B, ps, point)
         for p, a in zip(ps[decided].tolist(), ap[decided].tolist()):
             assert a == datasets._ec_trace(A, B, p)
+
+
+def affine_add(P, Q, a, p):
+    # P + Q on y^2 = x^3 + ax + b mod p in affine coordinates, None for O
+    if P is None or Q is None:
+        return P if Q is None else Q
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+@pytest.mark.parametrize("A, B, p", [(-3, 3, 233), (-2, 1, 233)])
+def test_annihilators_complete_on_every_point(A, B, p):
+    # both groups have points of order 2s and below (s = 6 at p = 233), where
+    # one giant step matches several baby steps; walk N*P over the Hasse
+    # interval for the batch's point at every x with f(x) != 0, the point
+    # (xf, f^2) of E_f: y^2 = x^3 + Af^2 x + Bf^3
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    xs = [x for x in range(p) if (x ** 3 + A * x + B) % p]
+    ps, sweep = np.array([p], dtype=np.int64), datasets._ec_trace(A, B, p)
+    several = settled = 0
+    for point, x in enumerate(xs):
+        f = (x ** 3 + A * x + B) % p
+        a, P = A * f * f % p, (x * f % p, f * f % p)
+        R, walked = None, set()
+        for n in range(1, hi + 1):
+            R = affine_add(R, P, a, p)
+            if n >= lo and R is None:
+                walked.add(n)
+        several += len(walked) > 1
+        ap, decided = datasets._ec_trace_batch(A, B, ps, point)
+        if decided[0]:
+            (N,) = walked
+            assert int(ap[0]) == (p + 1 - N if pow(f, (p - 1) // 2, p) == 1 else N - p - 1)
+            assert int(ap[0]) == sweep
+        assert decided[0] == (len(walked) == 1)
+        settled += bool(decided[0])
+    assert several and settled
+
+
+@pytest.mark.parametrize(
+    "A, B, X",
+    [
+        (*CURVE_11A1, 20_000),
+        (1, 0, 5_000),  # CM by Z[i]
+        (-1, 0, 5_000),  # CM by Z[i], full rational 2-torsion
+        (0, 7, 5_000),  # CM by Z[(1 + sqrt(-3))/2]
+        (-7, 6, 5_000),  # (x - 1)(x - 2)(x + 3): full rational 2-torsion, no CM
+    ],
+)
+def test_ec_batch_matches_scalar_path(A, B, X):
+    # every point on every prime from 5 in ec_ap's blocks, not only on the
+    # primes the points before it leave: each decision equals the sweep
+    data = ec_ap(A, B, X)
+    swept = dict(zip(data.records.p.tolist(), sweep_traces(A, B, data)))
+    ps, settled = data.records.p[data.records.p > 3], 0
+    for point in range(4):
+        for i in range(0, len(ps), EC_BLOCK):
+            block = ps[i : i + EC_BLOCK]
+            ap, decided = datasets._ec_trace_batch(A, B, block, point)
+            assert ap[decided].tolist() == [swept[p] for p in block[decided].tolist()]
+            settled += int(decided.sum())
+    assert settled
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,6 +229,38 @@ def test_batch_leaves_the_scalar_path_only_what_it_cannot_decide(monkeypatch):
     assert 0 < len(swept) < 0.01 * len(data.records)
     raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
     assert [raw[p] for p in swept] == [sweep(*CURVE_11A1, p) for p in swept]
+
+
+def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
+    batch, sweep, left, swept = datasets._ec_trace_batch, datasets._ec_trace, [], []
+
+    def recorded(A, B, ps, point):
+        ap, decided = batch(A, B, ps, point)
+        if point == 3:
+            left.extend(ps[~decided].tolist())
+        return ap, decided
+
+    def counted(A, B, p):
+        swept.append(p)
+        return sweep(A, B, p)
+
+    monkeypatch.setattr(datasets, "_ec_trace_batch", recorded)
+    monkeypatch.setattr(datasets, "_ec_trace", counted)
+    # the sweep counts p = 3 when it is good and what the fourth point leaves
+    # of each block, nothing else; 3 is good only for y^2 = x^3 - 2x + 3
+    cases = [(-6, 0, 100), (-2, 3, 3000), (0, 1, 3000), (*CURVE_11A1, 40_000)]
+    for A, B, X in cases:
+        left.clear()
+        swept.clear()
+        data = ec_ap(A, B, X)
+        assert swept == [p for p in data.records.p.tolist() if p == 3] + left
+        raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
+        assert [raw[p] for p in swept] == [sweep(A, B, p) for p in swept]
+        if A == -6:
+            # every point of y^2 = x^3 - 6x mod 5 leaves two counts in the
+            # Hasse interval
+            assert 5 in left
+    assert swept and len(swept) < 0.01 * len(data.records)
 
 
 def test_batch_memory_stays_blocked(monkeypatch):
