@@ -208,13 +208,13 @@ def _proj_double(P, a, p):
 
 
 def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
-    """(a_p, decided) at each of ps, an int64 array of good primes from 5 to
-    2^31 (so every product of two residues fits int64), from the point-th
-    (from 0) x = 0, 1, 2, ... with f = x^3 + Ax + B != 0 mod p.  The point
-    (xf, f^2) lies on E_f: y^2 = x^3 + Af^2 x + Bf^3, which is E itself when f
-    is a square mod p, else its quadratic twist, whose count is 2p + 2 - #E.
-    (At p = 5 and 7 the x may pass p - 1; it then repeats an earlier point or
-    has f = 0, where y = 0 leaves the prime undecided.)
+    """(a_p, decided) at each of ps, an int64 array of good primes below 2^31
+    (so every product of two residues fits int64), from x = point - 1/2 mod p,
+    the x of no rational point (that is m/e^2 in lowest terms), so no pass
+    meets a torsion point of small order at every p.  With f = x^3 + Ax + B,
+    the point (xf, f^2) lies on E_f: y^2 = x^3 + Af^2 x + Bf^3, which is E
+    itself when f is a square mod p, else its quadratic twist, whose count is
+    2p + 2 - #E; where f = 0 its y = 0 leaves the prime undecided.
 
     The point's annihilators N in the Hasse interval are counted by one
     baby-step giant-step on all of ps at once, in projective coordinates,
@@ -228,11 +228,8 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     w = np.array([math.isqrt(4 * q) for q in ps.tolist()], dtype=np.int64)
     lo, hi = ps + 1 - w, ps + 1 + w
     a0, b0 = (np.array([c % q for q in ps.tolist()], dtype=np.int64) for c in (A, B))
-    x, usable = np.zeros_like(ps), np.zeros_like(ps)
-    for t in range(point + 4):  # the cubic has at most three roots mod p
-        usable += (t * t * t + a0 * t + b0) % ps != 0
-        x += usable <= point  # x ends at the first t with point + 1 usable up to it
-    f = (x * x * x + a0 * x + b0) % ps
+    x = (ps // 2 + point) % ps  # point - 1/2 mod p
+    f = ((x * x + a0) % ps * x + b0) % ps
     a = a0 * (f * f % ps) % ps
     P = np.stack([x * f % ps, f * f % ps, np.ones_like(ps)])
     # steps[:, j] holds (j + 1) P for j < s, then the giant steps G_k = m_k P at
@@ -283,11 +280,11 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     """Unitarily normalized a_p/sqrt(p) for all good primes p <= X of the
     curve y^2 = x^3 + Ax + B; bad primes (dividing 2*disc) are skipped.
 
-    The good primes from 5 go to _ec_trace_batch in blocks of EC_BLOCK, with
-    the first point and then, at the primes each point leaves, the next, up
-    to four.  The batch decides only where one point's annihilators in the
+    The good primes go to _ec_trace_batch in blocks of EC_BLOCK, with the
+    point at x = -1/2 and then, at the primes each point leaves, the next x,
+    up to four.  The batch decides only where one point's annihilators in the
     Hasse interval are a single N, which is then #E_f, so it is exact at
-    every p; the sweep _ec_trace counts what it leaves, and p = 3."""
+    every p; the sweep _ec_trace counts what it leaves."""
     disc = -16 * (4 * A ** 3 + 27 * B ** 2)
     if disc == 0:
         raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
@@ -298,7 +295,7 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     skipped, good = [], []
     for p in primes_up_to(X):
         (good if (2 * disc) % p else skipped).append(p)
-    pending, found = np.array([p for p in good if p > 3], dtype=np.int64), {}
+    pending, found = np.array(good, dtype=np.int64), {}
     for point in range(4):  # the primes each point leaves get the next one
         for i in range(0, len(pending), EC_BLOCK):
             block = pending[i : i + EC_BLOCK]
@@ -413,16 +410,16 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
 
 
 def write_csv(path: str | Path, dataset: Dataset) -> None:
-    """Write dataset's CSV to path.  A writable regular file there (a symlink's target) is unlinked and
-    created anew, not truncated, skipping ext4's flush on close that guards against an empty file after
-    a crash: a crash soon after, or a failed open, may leave no data (datasets regenerate from a seed).
-    The new file gets the umask's mode, the writer's owner and no ACL; hard links keep the old bytes."""
+    """Write dataset's CSV to path.  A writable regular file there is unlinked and created anew, not
+    truncated, skipping ext4's flush on close that guards against an empty file after a crash: a crash
+    soon after, or a failed open, may leave no data (datasets regenerate from a seed).  The new file
+    gets the umask's mode, the writer's owner and no ACL; hard links keep the old bytes.  A symlink
+    (/dev/stdout, /proc/self/fd/N) is written through in place, so its target keeps its inode."""
     chunks = csv_chunks(dataset)
     head = next(chunks)  # a refused header leaves the file as it was
-    target = os.path.realpath(path)  # not Path.resolve, which raises RuntimeError on a symlink loop
-    if os.path.isfile(target) and os.access(target, os.W_OK):  # else opened as before
+    if os.path.isfile(path) and not os.path.islink(path) and os.access(path, os.W_OK):  # else opened in place
         with contextlib.suppress(OSError):
-            os.unlink(target)
+            os.unlink(path)
     with Path(path).open("w", encoding="utf-8") as f:
         f.writelines(itertools.chain([head], chunks))
 

@@ -104,7 +104,7 @@ def test_ec_matches_character_sweep(A, B, X):
     assert list(data.records.a_raw) == sweep_traces(A, B, data)
 
 
-BATCH_PRIMES = primes_up_to(3000)[2:]  # every prime from 5 below 3000
+BATCH_PRIMES = primes_up_to(3000)[1:]  # every odd prime below 3000
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,6 +117,7 @@ BATCH_PRIMES = primes_up_to(3000)[2:]  # every prime from 5 below 3000
 # giant step matches several baby steps
 @example(-3, 3, [233])
 @example(-2, 1, [233])
+@example(-2, 3, [3])  # 3 is good here, and ec_ap sends it to the batch too
 def test_bsgs_matches_character_sweep(A, B, block):
     # a block mixes large and small primes as ec_ap's do, so a small prime
     # meets a baby count s sized for the largest
@@ -147,15 +148,19 @@ def affine_add(P, Q, a, p):
 def test_annihilators_complete_on_every_point(A, B, p):
     # both groups have points of order 2s and below (s = 6 at p = 233), where
     # one giant step matches several baby steps; walk N*P over the Hasse
-    # interval for the batch's point at every x with f(x) != 0, the point
-    # (xf, f^2) of E_f: y^2 = x^3 + Af^2 x + Bf^3
+    # interval for the batch's point at every x = point - 1/2 mod p, the point
+    # (xf, f^2) of E_f: y^2 = x^3 + Af^2 x + Bf^3, which has y = 0 where f = 0
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
-    xs = [x for x in range(p) if (x ** 3 + A * x + B) % p]
     ps, sweep = np.array([p], dtype=np.int64), datasets._ec_trace(A, B, p)
-    several = settled = 0
-    for point, x in enumerate(xs):
+    several = settled = roots = 0
+    for point in range(p):
+        x = (p // 2 + point) % p
         f = (x ** 3 + A * x + B) % p
+        if f == 0:
+            assert not datasets._ec_trace_batch(A, B, ps, point)[1][0]
+            roots += 1
+            continue
         a, P = A * f * f % p, (x * f % p, f * f % p)
         R, walked = None, set()
         for n in range(1, hi + 1):
@@ -170,7 +175,7 @@ def test_annihilators_complete_on_every_point(A, B, p):
             assert int(ap[0]) == sweep
         assert decided[0] == (len(walked) == 1)
         settled += bool(decided[0])
-    assert several and settled
+    assert several and settled and roots
 
 
 @pytest.mark.parametrize(
@@ -184,11 +189,11 @@ def test_annihilators_complete_on_every_point(A, B, p):
     ],
 )
 def test_ec_batch_matches_scalar_path(A, B, X):
-    # every point on every prime from 5 in ec_ap's blocks, not only on the
+    # every point on every good prime in ec_ap's blocks, not only on the
     # primes the points before it leave: each decision equals the sweep
     data = ec_ap(A, B, X)
     swept = dict(zip(data.records.p.tolist(), sweep_traces(A, B, data)))
-    ps, settled = data.records.p[data.records.p > 3], 0
+    ps, settled = data.records.p, 0
     for point in range(4):
         for i in range(0, len(ps), EC_BLOCK):
             block = ps[i : i + EC_BLOCK]
@@ -215,20 +220,22 @@ def test_batch_leaves_the_scalar_path_only_what_it_cannot_decide(monkeypatch):
         return sweep(A, B, p)
 
     monkeypatch.setattr(datasets, "_ec_trace", counted)
-    # the first point of y^2 = x^3 + 1 is (0, 1), of order 3 <= 2s at every
-    # good prime: it decides none, and the sweep settles what the later
-    # points leave (x = 2 gives (2, 3), of order 6)
-    ps = np.array(BATCH_PRIMES, dtype=np.int64)
-    assert not datasets._ec_trace_batch(0, 1, ps, 0)[1].any()
+    # y^2 = x^3 + 1 has rational points of order 2, 3 and 6 at x = -1, 0 and 2;
+    # a point at x = -1/2 is none of them, so the first pass decides most
+    # primes from 5 (3 divides the discriminant), and the sweep settles what
+    # the four passes leave
+    ps = np.array(BATCH_PRIMES[1:], dtype=np.int64)
+    assert datasets._ec_trace_batch(0, 1, ps, 0)[1].sum() > len(ps) / 2
     data = ec_ap(0, 1, 3000)
     assert swept
     assert list(data.records.a_raw) == sweep_traces(0, 1, data)
     # a batch that decides nothing would sweep every prime
-    swept.clear()
-    data = ec_ap(*CURVE_11A1, 40_000)
-    assert 0 < len(swept) < 0.01 * len(data.records)
-    raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
-    assert [raw[p] for p in swept] == [sweep(*CURVE_11A1, p) for p in swept]
+    for A, B, X in [(0, 1, 100_000), (*CURVE_11A1, 40_000)]:
+        swept.clear()
+        data = ec_ap(A, B, X)
+        assert 0 < len(swept) < 0.01 * len(data.records)
+        raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
+        assert [raw[p] for p in swept] == [sweep(A, B, p) for p in swept]
 
 
 def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
@@ -246,14 +253,14 @@ def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
 
     monkeypatch.setattr(datasets, "_ec_trace_batch", recorded)
     monkeypatch.setattr(datasets, "_ec_trace", counted)
-    # the sweep counts p = 3 when it is good and what the fourth point leaves
-    # of each block, nothing else; 3 is good only for y^2 = x^3 - 2x + 3
+    # the sweep counts what the fourth point leaves of each block, nothing
+    # else, p = 3 included; 3 is good only for y^2 = x^3 - 2x + 3
     cases = [(-6, 0, 100), (-2, 3, 3000), (0, 1, 3000), (*CURVE_11A1, 40_000)]
     for A, B, X in cases:
         left.clear()
         swept.clear()
         data = ec_ap(A, B, X)
-        assert swept == [p for p in data.records.p.tolist() if p == 3] + left
+        assert swept == left
         raw = dict(zip(data.records.p.tolist(), data.records.a_raw))
         assert [raw[p] for p in swept] == [sweep(A, B, p) for p in swept]
         if A == -6:
@@ -637,6 +644,20 @@ def test_a_symlink_stays_and_its_target_gets_the_new_bytes(tmp_path):
     write_csv(link, SHORT)
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_bytes() == dumps_csv(SHORT).encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_file_descriptor_path_writes_into_the_open_file(tmp_path):
+    # `generate --out /dev/stdout > out.csv`: the path is a symlink to the file
+    # the shell opened, which must keep its name and get the bytes
+    path = tmp_path / "out.csv"
+    path.write_bytes(LONG_BYTES)
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        write_csv(f"/proc/self/fd/{fd}", SHORT)
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == dumps_csv(SHORT).encode("utf-8")
 
 
 def test_a_second_hard_link_keeps_the_old_bytes(tmp_path):
