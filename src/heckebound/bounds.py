@@ -33,8 +33,6 @@ DEFAULT_EPSILON = 0.01
 #: the largest pole orders whose arithmetic stays in doubles (pole4 enters d^5)
 MAX_POLE, MAX_POLE4 = sys.float_info.max, 10**61
 
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
 GRID_STEP = 1e-2
 
 
@@ -62,15 +60,11 @@ def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
         need = f"pole4 <= {MAX_POLE4:.0e}, pole8 <= {MAX_POLE:.4g}"
         raise ParameterError(f"pole orders overflow a double: need {need}")
     lo, hi = 0.0, float(pole4)
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if holder_branch(mid, pole8) < partition_branch(mid, pole4):
-            lo = mid
+    while lo < (d_star := 0.5 * (lo + hi)) < hi:  # until no double lies between lo and hi
+        if holder_branch(d_star, pole8) < partition_branch(d_star, pole4):
+            lo = d_star
         else:
-            hi = mid
-    d_star = 0.5 * (lo + hi)
+            hi = d_star
     up, down = holder_branch(d_star, pole8), partition_branch(d_star, pole4)
     constant = max(up, down)
     trace = (

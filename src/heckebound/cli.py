@@ -11,6 +11,7 @@ under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bounds, poles, repring
@@ -99,12 +100,21 @@ def _cmd_generate(args) -> int:
         dataset = datasets.tau_ap(args.x)
     else:
         dataset = datasets.sato_tate_sample(args.n, args.seed)
-    if args.out:
+    if args.out and not _is_stdout(args.out):
         datasets.write_csv(args.out, dataset)
-        print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
-    else:
+    else:  # through the shell's own descriptor, so `--out /dev/stdout >> f` appends
         sys.stdout.writelines(datasets.csv_chunks(dataset))
+    if args.out:
+        print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     return 0
+
+
+def _is_stdout(path: str) -> bool:
+    """Whether path names the file this process's stdout is open on."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or a stdout with no descriptor
+        return False
 
 
 def _cmd_verify(args) -> int:

@@ -392,8 +392,6 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     53 bits of output i of SplitMix64 started at seed mod SEED_MODULUS, which
     is computed from (seed, i) alone, so output is reproducible, independent
     of evaluation order, and a prefix of any longer run with the same seed."""
-    if n < 1:
-        raise ParameterError("need n >= 1")
     if n > ST_N_CAP:
         raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
     ps = _first_primes(n)

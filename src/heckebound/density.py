@@ -106,18 +106,13 @@ def density_profile(
 def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float:
     """Least-squares slope of the truncated k-th power sum against
     log(1/(s-1)): an empirical pole-order estimate."""
-    _require_records(records)
+    y = np.array(_truncated_sums(records, k, s_grid))  # checks the records, k and each s
     if len(s_grid) < 3:
         raise ParameterError("need at least 3 grid points")
-    if not all(math.isfinite(s) for s in s_grid):
-        raise ParameterError("grid points must be finite")
     gaps = sorted(s - 1.0 for s in s_grid)
-    if gaps[0] <= 0:
-        raise ParameterError("all grid points must exceed 1")
     if gaps[-1] / gaps[0] < 4.0:
         raise ParameterError("grid must span at least a factor of 4 in s - 1")
     x = np.array([math.log(1.0 / (s - 1.0)) for s in s_grid])
-    y = np.array(_truncated_sums(records, k, s_grid))
     slope = float(np.polyfit(x, y, 1)[0])
     if not math.isfinite(slope):  # finite sums near the double limit can still fit to inf
         raise ParameterError(f"the k={k} power sums give no finite slope")

@@ -31,5 +31,5 @@ class DatasetError(DomainError):
 class DatasetFormatError(DatasetError):
     """Malformed dataset file; the message names the offending line."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,30 @@ def test_positive_side_agrees_with_grid_scan():
         grid_value, grid_d = grid_minimax(pole4, pole8)
         assert result.constant == pytest.approx(grid_value, abs=1e-5)
         assert result.optimizer == pytest.approx(grid_d, abs=1e-4)
+
+
+def exact_positive_root(pole4, pole8, bits=80):
+    # the unique c in (0, pole4^(1/4)) with (pole4 - c^4)^5 = pole8 c^12, whose
+    # left side decreases in c and right side increases, bisected to 2^-bits
+    lo, hi = Fraction(0), Fraction(pole4 + 1)
+    while hi - lo > Fraction(1, 2**bits):
+        mid = (lo + hi) / 2
+        if pole4 - mid**4 > 0 and (pole4 - mid**4) ** 5 > pole8 * mid**12:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("pole4, pole8", [(2, 14), (2, 22), (2, 15), (3, 35), (1, 1), (3, 20)])
+def test_positive_side_lands_on_the_exact_root(pole4, pole8):
+    result = positive_side(pole4, pole8)
+    root = exact_positive_root(pole4, pole8)
+    assert abs(Fraction(result.constant) - root) <= 2 * Fraction(math.ulp(float(root)))
+    d = float(pole4 - root**4)
+    assert result.optimizer == pytest.approx(d, rel=1e-15)
+    up, down = result.branch_values
+    assert abs(up - down) <= 2 * math.ulp(float(root))
 
 
 def test_positive_side_degenerate_endpoint():

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,21 @@ def test_generate_out_writes_the_stdout_bytes(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "--kind", "tau", "--x", "200")
     assert run(capsys, "generate", "--kind", "tau", "--x", "200", "--out", str(path))[0] == code == 0
     assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_generate_out_dev_stdout_appends_under_a_shell_append(tmp_path, capsys):
+    # `>>` opens the file for appending; reopening /dev/stdout with mode "w" would truncate it
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"keep\n")
+    out = run(capsys, "generate", "--kind", "tau", "--x", "100")[1]
+    argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", "/dev/stdout"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f'{shlex.join(argv)} >> "$0"'
+    proc = subprocess.run(["sh", "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "wrote 25 records to /dev/stdout\n")
+    assert path.read_bytes() == b"keep\n" + out.encode("utf-8")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
