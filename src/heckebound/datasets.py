@@ -171,16 +171,6 @@ def _ec_trace(A: int, B: int, p: int) -> int:
     return -int(chi[f].sum())
 
 
-def _pow_mod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base^e mod p entry by entry, by square-and-multiply over the bits of the
-    largest e; an entry stays 1 until its own top bit is reached."""
-    r = np.ones_like(base)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        r = r * r % p
-        r = np.where(e >> bit & 1, r * base % p, r)
-    return r
-
-
 def _proj_add(P, Q, p):
     """P + Q on int64 arrays of projective points (X, Y, Z) mod p, for
     x(P) != x(Q); where x(P) = x(Q), or P or Q is O (Z = 0), it gives Z = 0."""
@@ -224,10 +214,10 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     so N = #E_f.  It is left undecided when a chain step meets equal x or the
     point at infinity, or a baby step has y = 0 (its sign is then ambiguous),
     or the count is not 1, as it never is when the point's order is <= 2s."""
-    n = len(ps)
-    w = np.array([math.isqrt(4 * q) for q in ps.tolist()], dtype=np.int64)
+    n, qs = len(ps), ps.tolist()
+    w = np.array([math.isqrt(4 * q) for q in qs], dtype=np.int64)
     lo, hi = ps + 1 - w, ps + 1 + w
-    a0, b0 = (np.array([c % q for q in ps.tolist()], dtype=np.int64) for c in (A, B))
+    a0, b0 = (np.array([c % q for q in qs], dtype=np.int64) for c in (A, B))
     x = (ps // 2 + point) % ps  # point - 1/2 mod p
     f = ((x * x + a0) % ps * x + b0) % ps
     a = a0 * (f * f % ps) % ps
@@ -257,8 +247,9 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     for j in range(1, s + K):
         prefix[j] = prefix[j - 1] * Z[j] % ps
     # a step that is O, or that added equal x or doubled y = 0, has Z = 0, and so
-    # has every step after it: the product is 0
-    bad, inv = prefix[-1] == 0, _pow_mod(prefix[-1], ps - 2, ps)
+    # has every step after it: the product is 0, and any inverse serves there
+    bad = prefix[-1] == 0
+    inv = np.array([pow(z, -1, q) if z else 0 for z, q in zip(prefix[-1].tolist(), qs)])
     for j in range(s + K - 1, 0, -1):
         Z[j], inv = inv * prefix[j - 1] % ps, inv * Z[j] % ps
     Z[0] = inv
@@ -272,7 +263,7 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     inside = (lo[i] <= N) & (N <= hi[i])
     count = np.bincount(i[inside], minlength=n)
     total = np.bincount(i[inside], weights=N[inside], minlength=n).astype(np.int64)
-    square = _pow_mod(f, (ps - 1) // 2, ps) == 1
+    square = np.array([pow(v, q // 2, q) == 1 for v, q in zip(f.tolist(), qs)])
     return ps + 1 - np.where(square, total, 2 * ps + 2 - total), ~bad & (count == 1)
 
 

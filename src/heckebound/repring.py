@@ -113,15 +113,12 @@ MU = (("mu", 1),)
 MU2 = (("mu", 2),)
 
 
-def aux_inverse(aux: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    return tuple((n, -e) for n, e in aux)
-
-
 def dual(a: Atom) -> Atom:
     """Contragredient: Sym^k picks up w^-k (so characters invert), an opaque
     label (degree 0) goes to its dual partner in OPAQUE_DUALS."""
     label = a.opaque_label and opaque_dual(a.opaque_label)
-    return Atom(a.sym_degree, -a.sym_degree - a.omega_power, aux_inverse(a.aux), label)
+    aux = tuple((n, -e) for n, e in a.aux)
+    return Atom(a.sym_degree, -a.sym_degree - a.omega_power, aux, label)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +270,7 @@ def parse_atom(text: str) -> Atom:
                 raise AlgebraError(f"more than one base object in {text!r}")
             if factor.startswith("opaque:"):
                 label = factor[len("opaque:"):]
-                opaque_dual(label)
+                opaque_dual(label)  # Atom reads an empty label as none
             else:
                 degree = int(m.group(1)) if m else 1
             continue
@@ -284,7 +281,6 @@ def parse_atom(text: str) -> Atom:
         if name == "w":
             omega += exp
         else:
-            aux_order(name)
             aux.append((name, exp))
     if degree == 0:
         raise AlgebraError("SymPow atoms need sym_degree >= 1")
