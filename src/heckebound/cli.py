@@ -100,21 +100,35 @@ def _cmd_generate(args) -> int:
         dataset = datasets.tau_ap(args.x)
     else:
         dataset = datasets.sato_tate_sample(args.n, args.seed)
-    if args.out and not _is_stdout(args.out):
+    target = _out_target(args.out) if args.out else sys.stdout
+    if target is None:
         datasets.write_csv(args.out, dataset)
-    else:  # through the shell's own descriptor, so `--out /dev/stdout >> f` appends
+    elif target is sys.stdout:
         sys.stdout.writelines(datasets.csv_chunks(dataset))
+    else:
+        with open(target, "w", encoding="utf-8", closefd=False) as out:
+            out.writelines(datasets.csv_chunks(dataset))
     if args.out:
         print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     return 0
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether path names the file this process's stdout is open on."""
-    try:
-        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):  # no such path, or a stdout with no descriptor
-        return False
+def _out_target(path: str):
+    """sys.stdout if path names the file stdout is open on, else the number of
+    another descriptor open on it (stderr's, or N for a path whose last part is
+    N: /dev/fd/N, /proc/self/fd/N), else None.  Writing through the descriptor
+    keeps a shell's `>>`, which reopening path with mode "w" would truncate."""
+    name = os.path.basename(path)
+    filenos = [sys.stdout.fileno, sys.stderr.fileno]
+    if name.isascii() and name.isdigit() and len(name) < 10:  # fstat overflows past a C int
+        filenos.append(lambda: int(name))
+    for fileno in filenos:
+        try:
+            if os.path.samestat(os.stat(path), os.fstat(fd := fileno())):
+                return sys.stdout if fileno == sys.stdout.fileno else fd
+        except (OSError, ValueError):  # no such path or descriptor, or a stream with none
+            pass
+    return None
 
 
 def _cmd_verify(args) -> int:

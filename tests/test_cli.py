@@ -138,6 +138,18 @@ def test_bad_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
+def test_self_dual_spellings_of_true(capsys, value):
+    assert run(capsys, "poles", "--k", "4", "--self-dual", value) == run(capsys, "poles", "--k", "4")
+
+
+def test_self_dual_needs_a_truth_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poles", "--k", "4", "--self-dual", "maybe"])
+    assert exc.value.code == 2
+    assert "expected true/false, got 'maybe'" in capsys.readouterr().err
+
+
 def test_verify_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "verify", "--input", "/nonexistent.csv", "--theorem", "t1pos")
     assert code == 1
@@ -276,6 +288,24 @@ def test_generate_out_dev_stdout_appends_under_a_shell_append(tmp_path, capsys):
     proc = subprocess.run(["sh", "-c", script, str(path)], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "wrote 25 records to /dev/stdout\n")
     assert path.read_bytes() == b"keep\n" + out.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("out, redirect", [("/dev/fd/3", "3>>"), ("/dev/stderr", "2>>")])
+def test_generate_out_descriptor_appends_under_a_shell_append(tmp_path, capsys, out, redirect):
+    # the same as /dev/stdout for any other descriptor the shell opened for appending
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"keep\n")
+    csv = run(capsys, "generate", "--kind", "tau", "--x", "100")[1]
+    argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", out]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f'{shlex.join(argv)} {redirect} "$1"'
+    proc = subprocess.run(["sh", "-c", script, "sh", str(path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the note goes to stderr, which under 2>> is the file itself
+    written = path.read_bytes() + proc.stderr.encode("utf-8")
+    assert written == f"keep\n{csv}wrote 25 records to {out}\n".encode("utf-8")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -298,6 +298,24 @@ def test_ec_11a1_known_traces(ec_11a1):
     assert raw[13] == 4
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ec_ap(*CURVE_11A1, 4), "need X >= 5"),
+        (
+            lambda: ec_ap(*CURVE_11A1, EC_X_CAP + 1),
+            f"X = {EC_X_CAP + 1} exceeds the point-counting cap {EC_X_CAP}",
+        ),
+        (lambda: tau_coefficients(0), "need X >= 1"),
+        (lambda: first_n_primes(0), "need n >= 1 primes"),
+    ],
+    ids=["ec-below-5", "ec-over-cap", "tau-below-1", "primes-below-1"],
+)
+def test_generator_range_refused(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_ec_bad_primes_skipped(ec_11a1):
     emitted = set(ec_11a1.records.p.tolist())
     assert not emitted & {2, 3, 11}
@@ -1257,6 +1275,11 @@ def test_negative_header_x_rejected_without_rows():
 def test_bad_self_dual_header_value_names_its_line():
     with pytest.raises(DatasetFormatError, match="^line 1: expected true/false, got 'maybe'$"):
         loads_csv("# source=x,self_dual=maybe,X=10\n5,0.1,0.0\n")
+
+
+def test_malformed_header_item_names_its_line():
+    with pytest.raises(DatasetFormatError, match="^line 1: malformed header item 'oops'$"):
+        loads_csv("# source=x,oops,self_dual=true,X=3\n")
 
 
 def test_unsorted_records_rejected():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,7 +172,7 @@ def test_dual_opaque_partner():
 bases = st.one_of(
     st.integers(1, 4).map(sym),
     st.just(char(0)),
-    st.sampled_from(["pi_chi", "pi_chi_bar"]).map(opaque),
+    st.sampled_from(sorted(repring.OPAQUE_DUALS)).map(opaque),
 )
 atoms = st.builds(
     lambda base, w, e: base.twist(w, (("mu", e),)), bases, st.integers(-12, 12), st.integers(-5, 5)
@@ -429,6 +430,22 @@ def test_parse_rejects_unknown_symbol():
 def test_parse_rejects_two_bases():
     with pytest.raises(AlgebraError):
         parse_atom("pi*Sym2(pi)")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Sym0(pi)", "SymPow atoms need sym_degree >= 1"),
+        ("pi*w^x", "cannot parse atom factor 'w^x'"),
+        # Atom reads an empty label as none, so only the parser can refuse it
+        ("opaque:*w", "unknown opaque cuspidal label ''"),
+        # Atom checks the aux names once the factors are read
+        ("nu*Sym3(pi)*pi", "more than one base object in 'nu*Sym3(pi)*pi'"),
+    ],
+)
+def test_parse_atom_refusal_message(text, message):
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+        parse_atom(text)
 
 
 def test_aux_exponents_reduced_mod_order():
