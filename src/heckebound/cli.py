@@ -106,8 +106,11 @@ def _cmd_generate(args) -> int:
     elif target is sys.stdout:
         sys.stdout.writelines(datasets.csv_chunks(dataset))
     else:
-        with open(target, "w", encoding="utf-8", closefd=False) as out:
-            out.writelines(datasets.csv_chunks(dataset))
+        try:
+            with open(target, "w", encoding="utf-8", closefd=False) as out:
+                out.writelines(datasets.csv_chunks(dataset))
+        except OSError as exc:  # a descriptor not open for writing: name the path, as open(path) would
+            raise OSError(exc.errno, exc.strerror, args.out) from None
     if args.out:
         print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     return 0

@@ -14,9 +14,9 @@ p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
 read_csv and loads_csv share one reader over UTF-8 bytes: it parses the rows as
-`dumps_csv` writes them in one numpy pass and any other text with a per-row loop
-that names the line of a fault it parses; one tail checks primality and the
-model's rules on the columns of either.
+`dumps_csv` writes them with numpy, CSV_BLOCK lines at a time, and any other
+text with a per-row loop that names the line of a fault it parses; one tail
+checks primality and the model's rules on the columns of either.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
 EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay small
-CSV_BYTES = b"0123456789+-.,eE\n"  # every byte dumps_csv writes below the header
+CSV_BYTES = b"0123456789+-.,eE"  # every byte dumps_csv writes in a row, but its newline
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 
@@ -385,10 +385,11 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     of evaluation order, and a prefix of any longer run with the same seed."""
     if n > ST_N_CAP:
         raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
-    ps = _first_primes(n)
+    ps, a = _first_primes(n), np.empty(n, dtype=np.complex128)
     key = np.uint64(seed % SEED_MODULUS)
-    bits = _mix64(key + np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
-    a = (2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))).astype(np.complex128)
+    for i in range(0, n, CSV_BLOCK):  # elementwise, so a block's temporaries are all it holds
+        bits = _mix64(key + np.arange(i + 1, min(i + CSV_BLOCK, n) + 1, dtype=np.uint64) * _GOLDEN)
+        a[i : i + CSV_BLOCK] = 2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))
     for column in (ps, a):  # owned and read-only, so Records adopts them
         column.setflags(write=False)
     return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, int(ps[-1])), Records(ps, a))
@@ -444,40 +445,51 @@ def read_csv(path: str | Path) -> Dataset:
 
 
 def loads_csv(text: str) -> Dataset:
-    """Parse a CSV dataset: one numpy pass over the canonical rows, the
-    per-row loop for anything else, then one check of the columns of either,
+    """Parse a CSV dataset: the blocked numpy reader over the canonical rows,
+    the per-row loop for anything else, then one check of the columns of either,
     which names the line of the first bad row."""
     return _load(lambda: text.encode("utf-8", "surrogatepass"))
 
 
-def _loads_columns(body: bytes):
-    """The rows of body, as dumps_csv writes them, parsed in one numpy pass
-    into (p, a, a_raw); None where loadtxt cannot read them or a p is outside
-    2..MAX_P, so that the per-row loop names the fault.  body stays bytes, which
-    loadtxt reads as they are; a str it would widen to 4 bytes a character."""
-    width = body.count(b",", 0, body.find(b"\n")) + 1  # loadtxt holds every row to it
-    if width not in (3, 4) or body.translate(None, CSV_BYTES):
+def _loads_columns(data: bytes):
+    """The rows after data's header line, as dumps_csv writes them, parsed into
+    (p, a, a_raw, blank), blank if a blank line held no row (row r may then not
+    be line r + 2); None where loadtxt cannot read them or a p is outside
+    2..MAX_P, so that the per-row loop names the fault.  loadtxt takes CSV_BLOCK
+    lines at a time as bytes, not a str it would widen to 4 bytes a character,
+    from a BytesIO that shares data, into columns sized from the newline count."""
+    start = data.find(b"\n") + 1
+    kept, head = (text.translate(None, CSV_BYTES) for text in (data, data[:start]))
+    lines = len(kept) - len(head) + (not data.endswith(b"\n"))  # kept is head, then newlines, if canonical
+    width = data.count(b",", start, data.find(b"\n", start)) + 1  # loadtxt holds every row to it
+    if not (start and lines) or width not in (3, 4) or kept.rstrip(b"\n") != head[:-1]:
         return None
-    fields = [("p", np.int64), ("re", np.float64), ("im", np.float64), ("raw", object)]
+    fields = [("p", np.int64), ("re", np.float64), ("im", np.float64), ("raw", object)][:width]
+    p, a, raw, n = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.complex128), [], 0
+    rows = itertools.islice(io.BytesIO(data), 1, None)  # the lines after the header
     with warnings.catch_warnings():
         # numpy 1.23+ reads "5.7" into an int column through a float with a
         # DeprecationWarning, where int() refuses it: any warning declines
         warnings.simplefilter("error")
         try:
-            cols = np.loadtxt(
-                io.BytesIO(body), dtype=fields[:width], delimiter=",", comments=None,
-                ndmin=1, converters={3: int} if width == 4 else None,
-            )
+            for _ in range(0, lines, CSV_BLOCK):
+                block = np.loadtxt(
+                    itertools.islice(rows, CSV_BLOCK), dtype=fields, delimiter=",", comments=None,
+                    ndmin=1, converters={3: int} if width == 4 else None,
+                )
+                k = n + len(block)  # a.real and a.imag, since re + 1j*im would turn -0.0 into 0.0
+                p[n:k], a.real[n:k], a.imag[n:k] = block["p"], block["re"], block["im"]
+                raw += block["raw"].tolist() if width == 4 else []
+                n = k
         except (ValueError, Warning):
             return None
-    p = cols["p"].copy()  # owned, so that Records adopts it and cols can go
+    if n < lines:
+        p, a = p[:n].copy(), a[:n].copy()
     if p.min() < 2 or p.max() > MAX_P:  # before p sizes loads_csv's sieve
         return None
-    a = np.empty(len(p), dtype=np.complex128)
-    a.real, a.imag = cols["re"], cols["im"]  # re + 1j*im would turn -0.0 into 0.0
-    for column in (p, a):
+    for column in (p, a):  # owned and read-only, so Records adopts them
         column.setflags(write=False)
-    return p, a, cols["raw"].tolist() if width == 4 else None
+    return p, a, raw if width == 4 else None, n < lines
 
 
 def _loads_rows(lines: list[str]):
@@ -545,25 +557,20 @@ def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
 
 
 def _load(read) -> Dataset:
-    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as
-    text mode ends them; an ASCII body reaches the one-pass reader undecoded."""
+    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text
+    mode ends them; canonical rows reach the blocked reader undecoded, and the
+    bytes go before the checks unless a blank line is among the rows."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, nl, body = data.partition(b"\n")
-    if body.isascii():  # the one-pass reader may take it: decode the header alone
-        data = head + nl
-    else:  # only the per-row loop reads it, decoded with the header
-        body = b""
-    header, rest = _head(data)  # through the newline, so that a fault reads as in the whole text
-
-    def lines() -> list[str]:  # after the header; data ends at a newline, so body's lines follow rest
-        return rest + body.decode("ascii").splitlines()
-
-    columns = None if rest else _loads_columns(body)
-    if columns is None:
-        columns = _loads_rows(lines())
-    p, a, raw = columns
+    columns = _loads_columns(data)
+    start = data.find(b"\n") + 1 if columns else len(data)  # a canonical body stays undecoded
+    header, lines = _head(data[:start])  # through the newline, so that a fault reads as in the whole text
+    if columns is None or lines:  # a header line that splitlines breaks is read row by row too
+        lines += data[start:].decode("ascii").splitlines()
+        columns = *_loads_rows(lines), True
+    p, a, raw, blank = columns
+    data = data if blank else None  # else row r is line r + 2, and the bytes can go
     try:
         composite = ~_sieve(int(p.max(initial=2)))[p]
         if composite.any():
@@ -571,6 +578,9 @@ def _load(read) -> Dataset:
             raise DatasetError(f"p = {p[row]} is not prime", row=row)
         return Dataset(header, Records(p, a, raw))
     except DatasetError as exc:  # each fault names its row; the text names the row's line
-        rows = (n for n, line in enumerate(lines(), start=2) if line.strip())
+        rows = itertools.count(2)
+        if blank:  # blank lines are numbered but hold no row
+            lines = lines or data[start:].decode("ascii").splitlines()
+            rows = (n for n, line in enumerate(lines, start=2) if line.strip())
         line = next(itertools.islice(rows, exc.row, None))
         raise DatasetFormatError(str(exc), line=line) from None

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .bounds import DEFAULT_EPSILON, THEOREMS
-from .datasets import Records
+from .datasets import CSV_BLOCK, Records
 from .errors import DatasetError, ParameterError
 
 #: desk-scale proxy for "infinitely many": at least this fraction of primes
@@ -30,11 +30,14 @@ def _require_records(records: Records) -> None:
 
 
 def _rotated(records: Records, phi: float) -> np.ndarray:
-    """Re(a_p e^{i phi}) over a non-empty dataset and a finite phi."""
+    """Re(a_p e^{i phi}) over a non-empty dataset and a finite phi, as a new array."""
     _require_records(records)
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}")
-    return (records.a * cmath.exp(1j * phi)).real
+    a, turn, vals = records.a, cmath.exp(1j * phi), np.empty(len(records))
+    for i in range(0, len(a), CSV_BLOCK):  # so that no complex temporary spans the records
+        vals[i : i + CSV_BLOCK] = (a[i : i + CSV_BLOCK] * turn).real
+    return vals
 
 
 def operating_point(records: Records) -> float:
@@ -58,8 +61,9 @@ def _truncated_sums(records: Records, k: int, s_grid: Sequence[float], phi: floa
             raise ParameterError(f"need finite s > 1, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            powers = vals ** k
-            totals = [float(np.sum(powers / np.power(records.p, s, dtype=float))) for s in s_grid]
+            vals **= k  # in place, with the scalar-power dispatch of vals ** k
+            weights = (np.power(records.p, s, dtype=float) for s in s_grid)  # one at a time
+            totals = [float(np.sum(np.divide(vals, w, out=w))) for w in weights]
         except OverflowError:  # numpy takes a k past int64 as a double, and this one overflows
             totals = [math.inf]
     if not all(math.isfinite(total) for total in totals):

@@ -308,6 +308,21 @@ def test_generate_out_descriptor_appends_under_a_shell_append(tmp_path, capsys, 
     assert written == f"keep\n{csv}wrote 25 records to {out}\n".encode("utf-8")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+def test_generate_out_read_only_descriptor_names_the_path(tmp_path):
+    # stdin is open for reading only: the write fails, and the message names --out
+    path = tmp_path / "f"
+    path.write_bytes(b"keep\n")
+    argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", "/dev/fd/0"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with path.open("rb") as stdin:
+        proc = subprocess.run(argv, stdin=stdin, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: [Errno 9] Bad file descriptor: '/dev/fd/0'\n"
+    assert path.read_bytes() == b"keep\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_verify_non_finite_row_exits_one(tmp_path, capsys, value):
     path = tmp_path / "bad.csv"

@@ -506,6 +506,35 @@ def test_sato_tate_prefix_property(n, extra, seed):
     assert short == Records(long.p[:n], long.a[:n])
 
 
+def one_shot_sample(n, seed):
+    # the sampler's expression before it filled its column a block at a time
+    key = np.uint64(seed % datasets.SEED_MODULUS)
+    bits = datasets._mix64(key + np.arange(1, n + 1, dtype=np.uint64) * datasets._GOLDEN)
+    return (2.0 * np.cos(datasets._sato_tate_angle((bits >> 11) * 2.0**-53))).astype(np.complex128)
+
+
+@pytest.mark.parametrize("block", [CSV_BLOCK, 100])
+@pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 60])
+def test_blocked_sampler_matches_the_one_shot_expression(monkeypatch, block, seed):
+    monkeypatch.setattr(datasets, "CSV_BLOCK", block)
+    for n in (1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 7):
+        assert sato_tate_sample(n, seed).records.a.tobytes() == one_shot_sample(n, seed).tobytes()
+
+
+def test_sampler_memory_is_its_columns_and_one_block():
+    # p, a and the sieve's primes peak near 40 bytes a prime; full-length
+    # temporaries of the mix and the Newton steps took it past 70
+    n = 10**5
+    sato_tate_sample(n, 1)  # lazy imports and caches come before the count
+    tracemalloc.start()
+    try:
+        sato_tate_sample(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * n
+
+
 def test_sato_tate_angle_solves_the_cdf():
     u = np.concatenate([np.linspace(0.0, 1.0 - 2.0 ** -53, 100_001), [2.0 ** -53, 0.5, 0.5 - 2.0 ** -54]])
     theta = datasets._sato_tate_angle(u)
@@ -867,7 +896,7 @@ def outcome(load, text):
 def test_one_pass_reader_takes_every_generated_file(st_100k, tau_10k, ec_11a1):
     for data in (st_100k, tau_10k, ec_11a1):
         text = dumps_csv(data)
-        assert datasets._loads_columns(text.partition("\n")[2].encode()) is not None
+        assert datasets._loads_columns(text.encode()) is not None
         assert outcome(loads_csv, text) == outcome(per_row, text) == outcome(lambda _: data, text)
 
 
@@ -944,6 +973,18 @@ def test_one_pass_reader_agrees_with_the_per_row_loop(text):
     assert outcome(loads_csv, text) == outcome(per_row, text)
 
 
+@settings(max_examples=200, deadline=None)
+@given(csv_texts(), st.integers(1, 3))
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n\n7,0.1,0.2\n", 2)  # the second block is blank
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n7,0.1,0.2\n9,0.3,0.0\n11,0.1,0.0\n", 2)  # composite after a blank line
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n7,0.1,0.2\n13,0.2,0.0\n11,0.3,0.0", 2)  # out of order, no newline at the end
+def test_blocked_reader_agrees_with_the_per_row_loop_across_blocks(text, block):
+    # a fault, a blank line or the end of the text at or across a block boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "CSV_BLOCK", block)
+        assert outcome(loads_csv, text) == outcome(per_row, text)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -1010,6 +1051,22 @@ def test_read_csv_holds_one_copy_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * path.stat().st_size
+
+
+def test_read_csv_holds_the_file_and_its_columns(tmp_path, st_100k):
+    # the blocked reader holds the file's bytes, the p and a columns and one
+    # block of fields, near 2.0 times the file; a body split off beside the
+    # bytes and loadtxt's whole-file table of fields took it near 2.6
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)
+    read_csv(path)  # lazy imports and caches come before the count
+    tracemalloc.start()
+    try:
+        read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * path.stat().st_size
 
 
 def test_round_trip_empty():

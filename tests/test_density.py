@@ -1,12 +1,14 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from heckebound.bounds import negative_side, non_self_dual, positive_side
-from heckebound.datasets import Records, first_n_primes
+from heckebound import density
+from heckebound.datasets import CSV_BLOCK, Records, first_n_primes, sato_tate_sample
 from heckebound.density import (
     density_profile,
     operating_point,
@@ -272,3 +274,95 @@ def test_verify_counts_follow_the_written_out_one_sided_rules(theorem, entries, 
     else:
         assert report.count == sum(x > c - eps for x in v)
         assert report.threshold == c
+
+
+# ---------------------------------------------------------------------------
+# blocked rotation and in-place powers
+
+
+def parent_rotated(records, phi):
+    # the one-shot rotation the blocked one replaced: a complex temporary the
+    # length of the records, of which the real part is kept
+    return (records.a * cmath.exp(1j * phi)).real
+
+
+@pytest.fixture(scope="module")
+def spanning_records():
+    # two full blocks and a short third, with signed zeros that a rotation by
+    # phi = 0.0 and by phi = -0.0 turns differently
+    n = 2 * CSV_BLOCK + 5
+    rng = np.random.default_rng(26)
+    a = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    a[CSV_BLOCK - 2 : CSV_BLOCK + 2] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0]
+    return Records(first_n_primes(n), a)
+
+
+PHIS = [0.0, -0.0, math.pi / 4, 1.9]
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("k", range(9))
+def test_truncated_sums_match_the_one_shot_power_to_the_bit(spanning_records, k, phi):
+    # vals **= k keeps the scalar-power dispatch of vals ** k (np.power(vals, k)
+    # may differ in the last bit), and dividing into the weights keeps each quotient
+    grid = [1.5, 1.3, 1.2, 1.1]
+    powers = parent_rotated(spanning_records, phi) ** k
+    want = [float(np.sum(powers / np.power(spanning_records.p, s, dtype=float))) for s in grid]
+    got = density._truncated_sums(spanning_records, k, grid, phi)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_profile_and_verdict_match_the_one_shot_rotation_to_the_bit(monkeypatch, spanning_records, phi):
+    def reports():
+        sides = [(c, side) for c in (0.0, 0.5) for side in ("above", "below")]
+        profiles = [density_profile(spanning_records, c, side, phi) for c, side in sides]
+        verdicts = [verify_theorem(spanning_records, t, phi=phi) for t in ("t1pos", "t1neg", "t2")]
+        return repr(profiles + verdicts)  # repr tells -0.0 from 0.0 and every bit of a double
+
+    got = reports()
+    monkeypatch.setattr(density, "_rotated", parent_rotated)
+    assert got == reports()
+
+
+@pytest.mark.parametrize(
+    "k,message",
+    [
+        (2**63, f"the k={2**63} power sum overflows a double"),
+        (2**64, f"the k={2**64} power sum overflows a double"),
+        (10**400, r"the k-th power sum overflows a double \(k has 401 digits\)"),
+    ],
+    ids=["2**63", "2**64", "10**400"],
+)
+def test_in_place_power_keeps_the_overflow_messages(spanning_records, k, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        truncated_sum(spanning_records, k, 1.2)
+
+
+@pytest.fixture(scope="module")
+def st_records():
+    return sato_tate_sample(10**5, 1).records
+
+
+def traced_peak(call):
+    call()  # lazy imports and caches come before the count
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_holds_one_float_column_and_one_weight_column(st_records):
+    # the rotated values and one weight array, 16 bytes a record, with about
+    # 25 at the peak; a complex rotation and a separate power array held 40
+    peak = traced_peak(lambda: pole_order_probe(st_records, 4, [1.5, 1.3, 1.2, 1.1]))
+    assert peak < 32 * len(st_records)
+
+
+def test_verify_holds_no_complex_temporary(st_records):
+    # the rotated values and their signed copy peak near 24 bytes a record;
+    # the one-shot complex rotation reached 32
+    peak = traced_peak(lambda: verify_theorem(st_records, "t2", phi=0.7))
+    assert peak < 28 * len(st_records)
