@@ -13,10 +13,11 @@ CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
-read_csv and loads_csv share one reader over UTF-8 bytes: it parses the rows as
-`dumps_csv` writes them with numpy, CSV_BLOCK lines at a time, and any other
-text with a per-row loop that names the line of a fault it parses; one tail
-checks primality and the model's rules on the columns of either.
+read_csv and loads_csv share one reader over UTF-8 bytes with two paths: numpy
+parses the rows as `dumps_csv` writes them, CSV_BLOCK lines at a time, and a
+per-row loop any other text (a blank line among the rows too), numbering the
+lines that hold rows and naming the line of a fault it parses; one tail checks
+primality and the model's rules on the columns of either.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def first_n_primes(n: int) -> list[int]:
 def _first_primes(n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError("need n >= 1 primes")
-    # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices
-    bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))) * 1.2) + 10
+    # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices (+1 for rounding)
+    bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
     return np.flatnonzero(_sieve(bound))[:n].astype(np.int64)
 
 
@@ -453,11 +454,11 @@ def loads_csv(text: str) -> Dataset:
 
 def _loads_columns(data: bytes):
     """The rows after data's header line, as dumps_csv writes them, parsed into
-    (p, a, a_raw, blank), blank if a blank line held no row (row r may then not
-    be line r + 2); None where loadtxt cannot read them or a p is outside
-    2..MAX_P, so that the per-row loop names the fault.  loadtxt takes CSV_BLOCK
-    lines at a time as bytes, not a str it would widen to 4 bytes a character,
-    from a BytesIO that shares data, into columns sized from the newline count."""
+    (p, a, a_raw), row r on line r + 2; None where loadtxt cannot read them, a
+    blank line holds no row or a p is outside 2..MAX_P, so that the per-row loop
+    numbers the rows and names the fault.  loadtxt takes CSV_BLOCK lines at a
+    time as bytes, not a str it would widen to 4 bytes a character, from a
+    BytesIO that shares data, into columns sized from the newline count."""
     start = data.find(b"\n") + 1
     kept, head = (text.translate(None, CSV_BYTES) for text in (data, data[:start]))
     lines = len(kept) - len(head) + (not data.endswith(b"\n"))  # kept is head, then newlines, if canonical
@@ -483,24 +484,23 @@ def _loads_columns(data: bytes):
                 n = k
         except (ValueError, Warning):
             return None
-    if n < lines:
-        p, a = p[:n].copy(), a[:n].copy()
-    if p.min() < 2 or p.max() > MAX_P:  # before p sizes loads_csv's sieve
+    if n < lines or p.min() < 2 or p.max() > MAX_P:  # loadtxt skipped a blank line; p sizes a sieve
         return None
     for column in (p, a):  # owned and read-only, so Records adopts them
         column.setflags(write=False)
-    return p, a, raw if width == 4 else None, n < lines
+    return p, a, raw if width == 4 else None
 
 
 def _loads_rows(lines: list[str]):
-    """The data lines after the header, numbered from 2, parsed one at a time
-    into (p, a, a_raw); a row that does not parse, or whose p is outside
-    2..MAX_P, is refused at its line."""
-    ps, a, raws = [], [], []
+    """The data lines after the header, numbered from 2, parsed one at a time into
+    (p, a, a_raw, linenos), linenos the line of each row, for a blank line holds
+    none; a row that does not parse, or whose p is outside 2..MAX_P, is refused at its line."""
+    ps, a, raws, linenos = [], [], [], []
     width = None
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
+        linenos.append(lineno)
         parts = line.split(",")
         if width is None and len(parts) in (3, 4):
             width = len(parts)
@@ -521,7 +521,7 @@ def _loads_rows(lines: list[str]):
             raise DatasetFormatError(f"p = {p} is outside 2..{MAX_P}", line=lineno)
         ps.append(p)
         a.append(z)
-    return np.array(ps, dtype=np.int64), a, raws if width == 4 else None
+    return np.array(ps, dtype=np.int64), a, raws if width == 4 else None, linenos
 
 
 def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
@@ -558,8 +558,8 @@ def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
 
 def _load(read) -> Dataset:
     """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text
-    mode ends them; canonical rows reach the blocked reader undecoded, and the
-    bytes go before the checks unless a blank line is among the rows."""
+    mode ends them: canonical rows reach the blocked reader undecoded, any other
+    text the per-row loop, and the bytes go before the checks of the columns."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -567,20 +567,16 @@ def _load(read) -> Dataset:
     start = data.find(b"\n") + 1 if columns else len(data)  # a canonical body stays undecoded
     header, lines = _head(data[:start])  # through the newline, so that a fault reads as in the whole text
     if columns is None or lines:  # a header line that splitlines breaks is read row by row too
-        lines += data[start:].decode("ascii").splitlines()
-        columns = *_loads_rows(lines), True
-    p, a, raw, blank = columns
-    data = data if blank else None  # else row r is line r + 2, and the bytes can go
+        *columns, linenos = _loads_rows(lines + data[start:].decode("ascii").splitlines())
+    else:
+        linenos = range(2, len(columns[0]) + 2)  # row r is line r + 2
+    p, a, raw = columns
+    del data  # the columns are all that is left of the text
     try:
         composite = ~_sieve(int(p.max(initial=2)))[p]
         if composite.any():
             row = int(np.argmax(composite))
             raise DatasetError(f"p = {p[row]} is not prime", row=row)
         return Dataset(header, Records(p, a, raw))
-    except DatasetError as exc:  # each fault names its row; the text names the row's line
-        rows = itertools.count(2)
-        if blank:  # blank lines are numbered but hold no row
-            lines = lines or data[start:].decode("ascii").splitlines()
-            rows = (n for n, line in enumerate(lines, start=2) if line.strip())
-        line = next(itertools.islice(rows, exc.row, None))
-        raise DatasetFormatError(str(exc), line=line) from None
+    except DatasetError as exc:  # each fault names its row, and linenos the row's line
+        raise DatasetFormatError(str(exc), line=linenos[exc.row]) from None

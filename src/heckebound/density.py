@@ -148,11 +148,11 @@ def verify_theorem(
     if needs_self_dual and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
     constant = bound(phi).constant
-    extremity = sign * vals
-    mask = extremity > constant - epsilon
+    vals *= sign  # in place: negation is exact, so sign * vals[i] is each value again
+    mask = vals > constant - epsilon
     idx = np.nonzero(mask)[0]
-    top = idx[np.argsort(-extremity[idx], kind="stable")][:10]
-    witnesses = tuple((int(records.p[i]), float(vals[i])) for i in top)
+    top = idx[np.argsort(-vals[idx], kind="stable")][:10]
+    witnesses = tuple((int(records.p[i]), float(sign * vals[i])) for i in top)
     count = int(mask.sum())
     required = math.floor(WITNESS_FRACTION * len(records))
     return TheoremReport(

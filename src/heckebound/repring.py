@@ -38,13 +38,6 @@ OPAQUE_DIM = 2
 MONOMIAL_LABEL = "pi_chi"
 
 
-def aux_order(name: str) -> int:
-    try:
-        return AUX_ORDERS[name]
-    except KeyError:
-        raise AlgebraError(f"unknown aux character symbol {name!r}") from None
-
-
 def opaque_dual(label: str) -> str:
     try:
         return OPAQUE_DUALS[label]
@@ -55,8 +48,9 @@ def opaque_dual(label: str) -> str:
 def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     combined: dict[str, int] = {}
     for name, exp in aux:
-        order = aux_order(name)
-        combined[name] = (combined.get(name, 0) + exp) % order
+        if name not in AUX_ORDERS:
+            raise AlgebraError(f"unknown aux character symbol {name!r}")
+        combined[name] = (combined.get(name, 0) + exp) % AUX_ORDERS[name]
     return tuple(sorted((n, e) for n, e in combined.items() if e))
 
 

@@ -61,6 +61,20 @@ def test_first_n_primes():
     assert len(first_n_primes(1000)) == 1000
 
 
+def test_first_n_primes_sieves_to_the_rosser_schoenfeld_bound(monkeypatch):
+    # p_n < n (ln n + ln ln n) for n >= 6 is a theorem, so the sieve needs no
+    # slack past it but the one for float rounding
+    primes = primes_up_to(20_000)
+    for n in range(1, 2001):
+        assert first_n_primes(n) == primes[:n]
+    sieve, asked = datasets._sieve, []
+    monkeypatch.setattr(datasets, "_sieve", lambda x: asked.append(x) or sieve(x))
+    n = ST_N_CAP  # 10**5
+    assert first_n_primes(n)[-1] == MAX_P
+    [x] = asked
+    assert x <= int(n * (math.log(n) + math.log(math.log(n)))) + 1
+
+
 # ---------------------------------------------------------------------------
 # elliptic curve point counts
 
@@ -988,7 +1002,7 @@ def test_blocked_reader_agrees_with_the_per_row_loop_across_blocks(text, block):
 @pytest.mark.parametrize(
     "rows",
     [
-        "3,0.1,0.0\n\n9,0.2,0.0\n",  # composite
+        "3,0.1,0.0\n9,0.2,0.0\n",  # composite
         "5,0.1,0.0\n3,0.2,0.0\n",  # out of order
         "3,0.1,0.0\n5,1e400,0.0\n",  # not finite
         "3,0.1,0.0\n13,0.2,0.0\n",  # above X
@@ -1008,6 +1022,21 @@ def test_canonical_fault_refused_from_its_columns(monkeypatch, rows):
 
     monkeypatch.setattr(datasets, "_loads_rows", no_second_parse)
     assert outcome(loads_csv, text) == want
+
+
+@pytest.mark.parametrize("last", ["17", "15"], ids=["valid", "composite-last"])
+@pytest.mark.parametrize("at", [0, 3, 4, 5, 7], ids=["first", "block-start", "block-middle", "block-end", "text-end"])
+def test_blank_line_declines_the_blocked_reader(monkeypatch, at, last):
+    # with blocks of 3 lines, a blank line among the rows goes to the per-row
+    # loop, which numbers the lines that hold rows, wherever it falls
+    monkeypatch.setattr(datasets, "CSV_BLOCK", 3)
+    rows = [f"{p},0.{p},0.0" for p in (2, 3, 5, 7, 11, 13)] + [f"{last},0.5,0.0"]
+    rows.insert(at, "")
+    text = CSV_HEAD + "\n" + "\n".join(rows) + "\n"
+    assert datasets._loads_columns(text.encode()) is None
+    assert outcome(loads_csv, text) == outcome(per_row, text)
+    if last == "15":
+        assert outcome(loads_csv, text)[1] == f"line {9 - (at == 7)}: p = 15 is not prime"
 
 
 @pytest.mark.parametrize("raw", ["", ",1"], ids=["3-columns", "4-columns"])

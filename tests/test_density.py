@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heckebound.bounds import negative_side, non_self_dual, positive_side
+from heckebound.bounds import THEOREMS, negative_side, non_self_dual, positive_side
 from heckebound import density
 from heckebound.datasets import CSV_BLOCK, Records, first_n_primes, sato_tate_sample
 from heckebound.density import (
@@ -366,3 +366,16 @@ def test_verify_holds_no_complex_temporary(st_records):
     # the one-shot complex rotation reached 32
     peak = traced_peak(lambda: verify_theorem(st_records, "t2", phi=0.7))
     assert peak < 28 * len(st_records)
+
+
+@pytest.mark.parametrize("theorem, phi", [("t1pos", 0.0), ("t1neg", 0.0), ("t2", 1.9)])
+def test_verify_signs_the_rotated_values_in_place(st_records, theorem, phi):
+    # the rotated values, the mask and the witness candidates peak at 11 to 15
+    # bytes a record; a signed copy beside the values adds 8 more
+    peak = traced_peak(lambda: verify_theorem(st_records, theorem, phi=phi))
+    assert peak < 16 * len(st_records)
+    # the witnesses are the records' own rotated values, not the signed ones
+    vals = (st_records.a * cmath.exp(1j * phi)).real
+    top = np.argsort(-THEOREMS[theorem][0] * vals, kind="stable")[:10]
+    want = tuple((int(st_records.p[i]), float(vals[i])) for i in top)
+    assert repr(verify_theorem(st_records, theorem, phi=phi).witnesses) == repr(want)
