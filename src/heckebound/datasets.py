@@ -13,11 +13,11 @@ CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
-read_csv and loads_csv share one reader over UTF-8 bytes with two paths: numpy
-parses the rows as `dumps_csv` writes them, CSV_BLOCK lines at a time, and a
-per-row loop any other text (a blank line among the rows too), numbering the
-lines that hold rows and naming the line of a fault it parses; one tail checks
-primality and the model's rules on the columns of either.
+read_csv and loads_csv share one reader over UTF-8 bytes, its lines ended at a
+newline alone (text mode folds '\r\n' and '\r'), with two paths: numpy parses the
+rows as `dumps_csv` writes them, CSV_BLOCK lines at a time, and a per-row loop any
+other text (a blank line among the rows too), naming the line of a fault it
+parses; one tail checks primality and the model's rules on either's columns.
 """
 
 from __future__ import annotations
@@ -425,8 +425,8 @@ def csv_chunks(dataset: Dataset):
     if "," in h.source:
         raise DatasetError("header source must not contain commas")
     line = f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
-    try:  # the reader's own header step, so that its rules live in one place
-        readable = _head(line.encode("utf-8", "surrogatepass")) == (h, [])
+    try:  # the reader's own header step, on the line as text mode reads it, so its rules live in one place
+        readable = _head(line.encode("utf-8", "surrogatepass").replace(b"\r", b"\n")) == (h, [""])
     except DatasetFormatError:
         readable = False
     if not readable:
@@ -525,13 +525,12 @@ def _loads_rows(lines: list[str]):
 
 
 def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
-    """The header on the first line of UTF-8 data, and the lines after it."""
+    """The header on the first line of UTF-8 data, and the lines after it, cut at each newline."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # number the line as splitlines would
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line, *rest = data.decode("utf-8").split("\n")  # '\x0b', '\x85', '\u2028', ... end no line
+    except UnicodeDecodeError as exc:  # the line of the bad byte
+        line = data.count(b"\n", 0, exc.start) + 1
         raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    line, *rest = text.splitlines() or [""]  # a header with '\x0b', '\x85', ... is more than one line
     if not line.startswith("#"):
         raise DatasetFormatError("missing '#' header line", line=1)
     fields = {}
@@ -561,13 +560,13 @@ def _load(read) -> Dataset:
     mode ends them: canonical rows reach the blocked reader undecoded, any other
     text the per-row loop, and the bytes go before the checks of the columns."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
-    if b"\r" in data:  # as text mode reads it; splitlines ends a line at each too
+    if b"\r" in data:  # as text mode reads it, so that a line ends at b"\n" alone
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     columns = _loads_columns(data)
     start = data.find(b"\n") + 1 if columns else len(data)  # a canonical body stays undecoded
     header, lines = _head(data[:start])  # through the newline, so that a fault reads as in the whole text
-    if columns is None or lines:  # a header line that splitlines breaks is read row by row too
-        *columns, linenos = _loads_rows(lines + data[start:].decode("ascii").splitlines())
+    if columns is None:
+        *columns, linenos = _loads_rows(lines)
     else:
         linenos = range(2, len(columns[0]) + 2)  # row r is line r + 2
     p, a, raw = columns
