@@ -2,10 +2,11 @@
 
 Subcommands: decompose, poles, bounds, generate, verify, probe.  Only
 generate, verify and probe import the numpy-backed `datasets` and
-`density`, so the symbolic subcommands start without numpy.  generate
-writes CSV; every other subcommand prints through one helper, as text or,
-under --json, in a stable schema.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+`density`, generate and probe only once their arguments pass, so the
+symbolic subcommands, and a generate or probe refused on its arguments,
+start without numpy.  generate writes CSV; every other subcommand prints
+through one helper, as text or, under --json, in a stable schema.  Exit
+codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -90,11 +91,19 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import limits
+
+    a = limits.CURVE_11A1[0] if args.a is None else args.a
+    b = limits.CURVE_11A1[1] if args.b is None else args.b
+    if args.kind == "ec":  # the generator's own checks, so that a refused call never loads numpy
+        limits.check_ec(a, b, args.x)
+    elif args.kind == "tau":
+        limits.check_tau(args.x)
+    else:
+        limits.check_sato_tate(args.n)
     from . import datasets
 
     if args.kind == "ec":
-        a = datasets.CURVE_11A1[0] if args.a is None else args.a
-        b = datasets.CURVE_11A1[1] if args.b is None else args.b
         dataset = datasets.ec_ap(a, b, args.x)
     elif args.kind == "tau":
         dataset = datasets.tau_ap(args.x)
@@ -156,12 +165,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from . import datasets, density
-
     try:
         s_grid = [float(s) for s in args.s_grid.split(",")]
     except ValueError:
         raise ParameterError(f"--s-grid needs numbers, got {args.s_grid!r}") from None
+    from . import datasets, density
+
     dataset = datasets.read_csv(args.input)
     slope = density.pole_order_probe(dataset.records, args.k, s_grid)
     return _emit(
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generate", help="emit an eigenvalue dataset as CSV")
     p.add_argument("--kind", choices=["ec", "tau", "st"], required=True)
-    p.add_argument("--a", type=int, default=None)  # None means 11a1 (datasets.CURVE_11A1)
+    p.add_argument("--a", type=int, default=None)  # None means 11a1 (limits.CURVE_11A1)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--x", type=int, default=10_000)
     p.add_argument("--n", type=int, default=10_000)

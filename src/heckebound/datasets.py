@@ -35,11 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, DatasetFormatError, ParameterError
+from . import limits
+from .errors import DatasetError, DatasetFormatError
 
-EC_X_CAP = 100_000
-TAU_X_CAP = 10_000
-ST_N_CAP = 100_000
+# re-exported from `limits`, the numpy-free home of the generators' argument rules
+EC_X_CAP, TAU_X_CAP, ST_N_CAP, CURVE_11A1 = limits.EC_X_CAP, limits.TAU_X_CAP, limits.ST_N_CAP, limits.CURVE_11A1
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
@@ -47,10 +47,6 @@ EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay
 CSV_BYTES = b"0123456789+-.,eE"  # every byte dumps_csv writes in a row, but its newline
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
-
-# 11a1 in short Weierstrass form y^2 = x^3 - 27*c4*x - 54*c6 with
-# (c4, c6) = (496, 20008); good away from 2, 3, 11.
-CURVE_11A1 = (-13392, -1080432)
 
 
 class Records:
@@ -149,8 +145,7 @@ def first_n_primes(n: int) -> list[int]:
 
 
 def _first_primes(n: int) -> np.ndarray:
-    if n < 1:
-        raise ParameterError("need n >= 1 primes")
+    limits.check_primes(n)
     # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices (+1 for rounding)
     bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
     return np.flatnonzero(_sieve(bound))[:n].astype(np.int64)
@@ -277,13 +272,7 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     up to four.  The batch decides only where one point's annihilators in the
     Hasse interval are a single N, which is then #E_f, so it is exact at
     every p; the sweep _ec_trace counts what it leaves."""
-    disc = -16 * (4 * A ** 3 + 27 * B ** 2)
-    if disc == 0:
-        raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
-    if X < 5:
-        raise ParameterError("need X >= 5")
-    if X > EC_X_CAP:
-        raise ParameterError(f"X = {X} exceeds the point-counting cap {EC_X_CAP}")
+    disc = limits.check_ec(A, B, X)
     skipped, good = [], []
     for p in primes_up_to(X):
         (good if (2 * disc) % p else skipped).append(p)
@@ -328,10 +317,7 @@ def tau_coefficients(X: int) -> tuple[int, ...]:
     """tau(1)..tau(X) as exact ints: the residues of `_tau_residues` lifted by
     the CRT to the symmetric range, which holds every tau(n) because the
     product of TAU_MODULI exceeds 2 d(n) n^(11/2) >= 2|tau(n)| for n <= the cap."""
-    if X > TAU_X_CAP:
-        raise ParameterError(f"X = {X} exceeds the exact-series cap {TAU_X_CAP}")
-    if X < 1:
-        raise ParameterError("need X >= 1")
+    limits.check_tau(X)
     big = math.prod(TAU_MODULI)
     basis = [big // m * pow(big // m, -1, m) for m in TAU_MODULI]
     lifted = (sum(map(operator.mul, rs, basis)) % big for rs in zip(*_tau_residues(X).tolist()))
@@ -384,8 +370,7 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     53 bits of output i of SplitMix64 started at seed mod SEED_MODULUS, which
     is computed from (seed, i) alone, so output is reproducible, independent
     of evaluation order, and a prefix of any longer run with the same seed."""
-    if n > ST_N_CAP:
-        raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
+    limits.check_sato_tate(n)
     ps, a = _first_primes(n), np.empty(n, dtype=np.complex128)
     key = np.uint64(seed % SEED_MODULUS)
     for i in range(0, n, CSV_BLOCK):  # elementwise, so a block's temporaries are all it holds

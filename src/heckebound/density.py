@@ -110,14 +110,17 @@ def density_profile(
 def pole_order_probe(records: Records, k: int, s_grid: Sequence[float]) -> float:
     """Least-squares slope of the truncated k-th power sum against
     log(1/(s-1)): an empirical pole-order estimate."""
-    y = np.array(_truncated_sums(records, k, s_grid))  # checks the records, k and each s
+    y = _truncated_sums(records, k, s_grid)  # checks the records, k and each s
     if len(s_grid) < 3:
         raise ParameterError("need at least 3 grid points")
     gaps = sorted(s - 1.0 for s in s_grid)
     if gaps[-1] / gaps[0] < 4.0:
         raise ParameterError("grid must span at least a factor of 4 in s - 1")
-    x = np.array([math.log(1.0 / (s - 1.0)) for s in s_grid])
-    slope = float(np.polyfit(x, y, 1)[0])
+    x = [math.log(1.0 / (s - 1.0)) for s in s_grid]
+    # the closed form in Python floats, which overflow to inf or nan without a warning
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    dx = [u - x_mean for u in x]
+    slope = sum(d * (v - y_mean) for d, v in zip(dx, y)) / sum(d * d for d in dx)
     if not math.isfinite(slope):  # finite sums near the double limit can still fit to inf
         raise ParameterError(f"the k={k} power sums give no finite slope")
     return slope

@@ -259,6 +259,36 @@ def test_symbolic_subcommands_leave_numpy_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\nFalse False\n"), proc.stderr
 
 
+def test_refused_generate_and_probe_leave_numpy_unloaded(tmp_path):
+    # each argument rule is checked before datasets or density is imported
+    missing = str(tmp_path / "missing.csv")
+    calls = [
+        (["generate", "--kind", "ec", "--x", "200000"], "X = 200000 exceeds the point-counting cap 100000"),
+        (["generate", "--kind", "ec", "--x", "4"], "need X >= 5"),
+        (["generate", "--kind", "ec", "--a", "0", "--b", "0"], "curve y^2 = x^3 + 0x + 0 is singular"),
+        (["generate", "--kind", "tau", "--x", "0"], "need X >= 1"),
+        (["generate", "--kind", "tau", "--x", "10001"], "X = 10001 exceeds the exact-series cap 10000"),
+        (["generate", "--kind", "st", "--n", "0"], "need n >= 1 primes"),
+        (["generate", "--kind", "st", "--n", "100001"], "n = 100001 exceeds the sampler cap 100000"),
+        (["probe", "--input", missing, "--k", "2", "--s-grid", "1.5,x,1.1"], "--s-grid needs numbers, got '1.5,x,1.1'"),
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from heckebound.cli import main\n"
+        f"for argv, message in {calls!r}:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        assert main(argv) == 1, argv\n"
+        "    assert err.getvalue() == f'error: {message}\\n', err.getvalue()\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "print('ok')\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
 def test_generate_ec_defaults_to_11a1(capsys):
     a, b = (str(v) for v in datasets.CURVE_11A1)
     default = run(capsys, "generate", "--kind", "ec", "--x", "300")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ def test_probe_odd_power_of_symmetric_data_is_flat():
     records = Records(ps, [1.0 if i % 2 else -1.0 for i in range(len(ps))])
     slope = pole_order_probe(records, 1, [1.5, 1.3, 1.2, 1.1])
     assert abs(slope) < 0.1
+
+
+@given(
+    grid=st.lists(st.floats(1.0, 1e6, exclude_min=True), min_size=3, max_size=8).filter(
+        lambda grid: max(grid) - 1.0 >= 4.0 * (min(grid) - 1.0)  # the probe's span check
+    ),
+    data=st.data(),
+)
+def test_probe_slope_matches_polyfit(grid, data):
+    # the closed-form slope against numpy's least-squares fit as the oracle, on
+    # drawn sums; a slope near 0 beside large sums cancels in both, so the bound
+    # also scales with the sums (each x lies at least log 4 from another)
+    sums = data.draw(st.lists(st.floats(-1e15, 1e15), min_size=len(grid), max_size=len(grid)))
+    x = [math.log(1.0 / (s - 1.0)) for s in grid]
+    oracle = float(np.polyfit(x, sums, 1)[0])
+    with mock.patch.object(density, "_truncated_sums", lambda records, k, s_grid: list(sums)):
+        slope = pole_order_probe(None, 2, grid)
+    assert slope == pytest.approx(oracle, rel=1e-12, abs=1e-12 * max(map(abs, sums)))
 
 
 def test_probe_grid_validation():
