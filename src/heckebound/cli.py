@@ -1,12 +1,12 @@
 """Command line entry point.
 
 Subcommands: decompose, poles, bounds, generate, verify, probe.  Only
-generate, verify and probe import the numpy-backed `datasets` and
-`density`, generate and probe only once their arguments pass, so the
-symbolic subcommands, and a generate or probe refused on its arguments,
-start without numpy.  generate writes CSV; every other subcommand prints
-through one helper, as text or, under --json, in a stable schema.  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+generate, verify and probe import `datasets` (and `density`), and only a
+generate whose arguments pass loads numpy, inside its generator: the
+symbolic subcommands, every verify and probe, and a refused generate start
+without it.  generate writes CSV; every other subcommand prints through one
+helper, as text or, under --json, in a stable schema.  Exit codes: 0
+success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -91,19 +91,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from . import limits
-
-    a = limits.CURVE_11A1[0] if args.a is None else args.a
-    b = limits.CURVE_11A1[1] if args.b is None else args.b
-    if args.kind == "ec":  # the generator's own checks, so that a refused call never loads numpy
-        limits.check_ec(a, b, args.x)
-    elif args.kind == "tau":
-        limits.check_tau(args.x)
-    else:
-        limits.check_sato_tate(args.n)
     from . import datasets
 
     if args.kind == "ec":
+        a = datasets.CURVE_11A1[0] if args.a is None else args.a
+        b = datasets.CURVE_11A1[1] if args.b is None else args.b
         dataset = datasets.ec_ap(a, b, args.x)
     elif args.kind == "tau":
         dataset = datasets.tau_ap(args.x)
@@ -224,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generate", help="emit an eigenvalue dataset as CSV")
     p.add_argument("--kind", choices=["ec", "tau", "st"], required=True)
-    p.add_argument("--a", type=int, default=None)  # None means 11a1 (limits.CURVE_11A1)
+    p.add_argument("--a", type=int, default=None)  # None means 11a1 (datasets.CURVE_11A1)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--x", type=int, default=10_000)
     p.add_argument("--n", type=int, default=10_000)

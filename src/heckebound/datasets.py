@@ -6,82 +6,83 @@ at once as int64 arrays decides each prime where one of four points fixes
 the count, and the O(p) character sweep settles the rest), the weight-12
 level-1 q-expansion as Jacobi's cube series to the 8th power modulo four primes,
 lifted exactly by the CRT (p <= TAU_X_CAP), and a counter-based inverse-CDF
-sampler of the Sato-Tate law (the first ST_N_CAP primes).  A dataset
-is a header plus `Records`: columns of primes p, unitarily normalized
-eigenvalues a and optional exact integers a_raw, validated once when built.
+sampler of the Sato-Tate law (the first ST_N_CAP primes).  Only the generators
+import numpy, each once its arguments pass, so reading a dataset never loads it.
+A dataset is a header plus `Records`: one column per CSV field, primes p, the
+parts a_re and a_im of the unitarily normalized eigenvalues and optional exact
+integers a_raw, validated once when built.
 CSV files carry a `# source=...,self_dual=true|false,X=...` header line and
 p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
 read_csv and loads_csv share one reader over UTF-8 bytes, its lines ended at a
-newline alone (text mode folds '\r\n' and '\r'), with two paths: numpy parses the
-rows as `dumps_csv` writes them, CSV_BLOCK lines at a time, and a per-row loop any
-other text (a blank line among the rows too), naming the line of a fault it
-parses; one tail checks primality and the model's rules on either's columns.
+newline alone (text mode folds '\r\n' and '\r'): a per-row loop that names the
+line of a fault it parses, then one check of primality and the model's rules on
+its columns.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import itertools
 import math
 import operator
 import os
-import warnings
+from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from pathlib import Path
 
-import numpy as np
+from .errors import DatasetError, DatasetFormatError, ParameterError
 
-from . import limits
-from .errors import DatasetError, DatasetFormatError
-
-# re-exported from `limits`, the numpy-free home of the generators' argument rules
-EC_X_CAP, TAU_X_CAP, ST_N_CAP, CURVE_11A1 = limits.EC_X_CAP, limits.TAU_X_CAP, limits.ST_N_CAP, limits.CURVE_11A1
+EC_X_CAP = 100_000
+TAU_X_CAP = 10_000
+ST_N_CAP = 100_000
 MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
+# 11a1 in short Weierstrass form y^2 = x^3 - 27*c4*x - 54*c6 with
+# (c4, c6) = (496, 20008); good away from 2, 3, 11.
+CURVE_11A1 = (-13392, -1080432)
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
+READ_BYTES = 1 << 16  # bytes of rows decoded at a time, so no list of lines spans the file
 EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay small
-CSV_BYTES = b"0123456789+-.,eE"  # every byte dumps_csv writes in a row, but its newline
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 class Records:
-    """Per-prime columns: p (int64, given as integers that fit it, at least 2,
-    strictly increasing), a (complex128, finite) and a_raw (None, or one exact
-    int per prime, since tau(p) exceeds int64 and the float mantissa).  Arrays
-    are read-only: an int64 p or complex128 a that owns its data and is read-only
-    is kept, any other column copied.  The attributes cannot be set.  A bad p or
-    a is reported at its first row (`DatasetError.row`)."""
+    """Per-prime columns, one per CSV field, each copied into an array and held
+    behind a read-only memoryview: p (int64, given as integers that fit it, at
+    least 2, strictly increasing), a_re and a_im (float64, finite; a_im is zero
+    where none is given) and a_raw (None, or a tuple of one exact int per prime,
+    since tau(p) exceeds int64 and the float mantissa).  The attributes cannot
+    be set.  A bad p or a is reported at its first row (`DatasetError.row`)."""
 
-    __slots__ = ("p", "a", "a_raw")
+    __slots__ = ("p", "a_re", "a_im", "a_raw")
 
-    def __init__(self, p, a, a_raw=None):
-        p = p if _adoptable(p, np.int64) else np.array(p)
-        a = a if _adoptable(a, np.complex128) else np.array(a, dtype=np.complex128)
-        if p.size and not np.can_cast(p.dtype, np.int64):  # [] comes back float64
-            raise DatasetError(f"primes must be exact integers within int64, got dtype {p.dtype}")
-        p = p.astype(np.int64, copy=False)
+    def __init__(self, p, a_re, a_im=None, a_raw=None):
+        try:
+            p = array("q", p)
+        except (TypeError, OverflowError):
+            raise DatasetError("primes must be exact integers within int64") from None
+        a_re = array("d", a_re)
+        a_im = array("d", [0.0]) * len(a_re) if a_im is None else array("d", a_im)
         raw = None if a_raw is None else tuple(a_raw)
-        if p.ndim != 1 or a.shape != p.shape or (raw is not None and len(raw) != len(p)):
-            raise DatasetError("record columns must be one-dimensional and of equal length")
-        unsorted = np.diff(p, prepend=1) <= 0  # p[0] < 2 is out of order too
-        if unsorted.any():
-            message = "records must be sorted strictly increasing in p >= 2"
-            raise DatasetError(message, row=int(np.argmax(unsorted)))
-        finite = np.isfinite(a)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise DatasetError(f"eigenvalue at p = {p[row]} is not finite", row=row)
+        if not len(p) == len(a_re) == len(a_im) or (raw is not None and len(raw) != len(p)):
+            raise DatasetError("record columns must be of equal length")
+        row = next(itertools.compress(itertools.count(), map(operator.ge, itertools.chain((1,), p), p)), None)
+        if row is not None:  # p[0] < 2 is out of order too
+            raise DatasetError("records must be sorted strictly increasing in p >= 2", row=row)
+        if not math.isfinite(sum(a_re) + sum(a_im)):  # finite unless a value is not, or the sum overflows
+            for row, x, y in zip(itertools.count(), a_re, a_im):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise DatasetError(f"eigenvalue at p = {p[row]} is not finite", row=row)
         if raw is not None and not all(isinstance(v, int) for v in raw):
             raise DatasetError("raw eigenvalues must be exact integers")
-        p.setflags(write=False)
-        a.setflags(write=False)
-        for name, value in (("p", p), ("a", a), ("a_raw", raw)):
-            object.__setattr__(self, name, value)
+        for name, value in (("p", p), ("a_re", a_re), ("a_im", a_im)):
+            object.__setattr__(self, name, memoryview(value).toreadonly())
+        object.__setattr__(self, "a_raw", raw)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Records is immutable: cannot set or delete {name!r}")
@@ -94,12 +95,7 @@ class Records:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Records):
             return NotImplemented
-        same = np.array_equal(self.p, other.p) and np.array_equal(self.a, other.a)
-        return same and self.a_raw == other.a_raw
-
-
-def _adoptable(c, dtype) -> bool:
-    return isinstance(c, np.ndarray) and c.dtype == dtype and c.flags.owndata and not c.flags.writeable
+        return (self.p, self.a_re, self.a_im, self.a_raw) == (other.p, other.a_re, other.a_im, other.a_raw)
 
 
 class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):
@@ -117,7 +113,7 @@ class Dataset(namedtuple("Dataset", "header records")):
     def __new__(cls, header, records):
         p, X = records.p, header.X
         if len(p) and p[-1] > X:
-            row = int(np.argmax(p > X))
+            row = bisect_right(p, X)  # p is sorted
             raise DatasetError(f"record prime {p[row]} exceeds header X={X}", row=row)
         return super().__new__(cls, header, records)
 
@@ -126,29 +122,33 @@ class Dataset(namedtuple("Dataset", "header records")):
 # Primes
 
 
-def _sieve(x: int) -> np.ndarray:
-    """Eratosthenes' table: entry n is True iff n is prime, for n <= x."""
-    sieve = np.ones(max(x, 1) + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(max(x, 1)) + 1):
+def _sieve(x: int) -> bytearray:
+    """Eratosthenes' table: entry n is 1 iff n is prime, for n <= x."""
+    x = max(x, 1)
+    sieve = bytearray(b"\x01") * (x + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(x) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = False
+            sieve[p * p :: p] = bytes(len(range(p * p, x + 1, p)))
     return sieve
 
 
 def primes_up_to(x: int) -> list[int]:
-    return np.flatnonzero(_sieve(x)).tolist()
+    return list(itertools.compress(itertools.count(), _sieve(x)))
 
 
 def first_n_primes(n: int) -> list[int]:
     return _first_primes(n).tolist()
 
 
-def _first_primes(n: int) -> np.ndarray:
-    limits.check_primes(n)
+def _first_primes(n: int) -> array:
+    if n < 1:
+        raise ParameterError("need n >= 1 primes")
+    import numpy as np
+
     # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices (+1 for rounding)
     bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
-    return np.flatnonzero(_sieve(bound))[:n].astype(np.int64)
+    return array("q", np.flatnonzero(np.frombuffer(_sieve(bound), dtype=np.uint8))[:n].astype(np.int64).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,8 @@ def _ec_trace(A: int, B: int, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for y^2 = x^3 + Ax + B via a full
     quadratic-character sweep over x: O(p), exact at every p, for the primes
     that _ec_trace_batch leaves undecided, and its test oracle."""
+    import numpy as np
+
     xs = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(xs * xs) % p] = 1
@@ -193,7 +195,7 @@ def _proj_double(P, a, p):
     return 2 * h * s % p, Y2, 8 * (ss * s % p) % p
 
 
-def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
+def _ec_trace_batch(A: int, B: int, ps, point: int):
     """(a_p, decided) at each of ps, an int64 array of good primes below 2^31
     (so every product of two residues fits int64), from x = point - 1/2 mod p,
     the x of no rational point (that is m/e^2 in lowest terms), so no pass
@@ -210,6 +212,8 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     so N = #E_f.  It is left undecided when a chain step meets equal x or the
     point at infinity, or a baby step has y = 0 (its sign is then ambiguous),
     or the count is not 1, as it never is when the point's order is <= 2s."""
+    import numpy as np
+
     n, qs = len(ps), ps.tolist()
     w = np.array([math.isqrt(4 * q) for q in qs], dtype=np.int64)
     lo, hi = ps + 1 - w, ps + 1 + w
@@ -255,7 +259,11 @@ def _ec_trace_batch(A: int, B: int, ps: np.ndarray, point: int):
     (bx, gx), (by, gy) = ((c[:s], c[s:]) for c in steps[:2])
     bad |= (by == 0).any(axis=0)
     k, j, i = np.nonzero(gx[:, None] == bx)
-    N = m[i] + k * (2 * s + 1) + np.where(gy[k, i] == by[j, i], -1, 1) * (j + 1)
+    same = gy[k, i] == by[j, i]
+    N = j + 1  # built in place, as the matches can be many where small primes share a block with large
+    np.negative(N, out=N, where=same)
+    N += k * (2 * s + 1)
+    N += m[i]
     inside = (lo[i] <= N) & (N <= hi[i])
     count = np.bincount(i[inside], minlength=n)
     total = np.bincount(i[inside], weights=N[inside], minlength=n).astype(np.int64)
@@ -272,7 +280,15 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     up to four.  The batch decides only where one point's annihilators in the
     Hasse interval are a single N, which is then #E_f, so it is exact at
     every p; the sweep _ec_trace counts what it leaves."""
-    disc = limits.check_ec(A, B, X)
+    disc = -16 * (4 * A ** 3 + 27 * B ** 2)
+    if disc == 0:
+        raise DatasetError(f"curve y^2 = x^3 + {A}x + {B} is singular")
+    if X < 5:
+        raise ParameterError("need X >= 5")
+    if X > EC_X_CAP:
+        raise ParameterError(f"X = {X} exceeds the point-counting cap {EC_X_CAP}")
+    import numpy as np
+
     skipped, good = [], []
     for p in primes_up_to(X):
         (good if (2 * disc) % p else skipped).append(p)
@@ -286,19 +302,21 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     raw = [found[p] if p in found else _ec_trace(A, B, p) for p in good]
     a = [ap / math.sqrt(p) for p, ap in zip(good, raw)]
     source = f"ec[a={A};b={B};skipped={';'.join(map(str, skipped))}]"
-    return Dataset(DatasetHeader(source, True, X), Records(good, a, raw))
+    return Dataset(DatasetHeader(source, True, X), Records(good, a, a_raw=raw))
 
 
 # ---------------------------------------------------------------------------
 # Weight-12 level-1 coefficients
 
 
-def _tau_residues(X: int) -> np.ndarray:
+def _tau_residues(X: int):
     """tau(1)..tau(X) modulo each of TAU_MODULI, one row per modulus.  By
     Jacobi, prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), which has
     about sqrt(2X) terms, and Delta/q is its 8th power: 8 rounds of sparse
     shift-adds, reduced once per round (at the cap each of the 141 terms is
     below 2^39 and their sum below 2^47, inside int64)."""
+    import numpy as np
+
     terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(math.isqrt(2 * X) + 1)]
     moduli = np.array(TAU_MODULI, dtype=np.int64)[:, None]
     f = np.zeros((len(TAU_MODULI), X), dtype=np.int64)
@@ -317,7 +335,10 @@ def tau_coefficients(X: int) -> tuple[int, ...]:
     """tau(1)..tau(X) as exact ints: the residues of `_tau_residues` lifted by
     the CRT to the symmetric range, which holds every tau(n) because the
     product of TAU_MODULI exceeds 2 d(n) n^(11/2) >= 2|tau(n)| for n <= the cap."""
-    limits.check_tau(X)
+    if X > TAU_X_CAP:
+        raise ParameterError(f"X = {X} exceeds the exact-series cap {TAU_X_CAP}")
+    if X < 1:
+        raise ParameterError("need X >= 1")
     big = math.prod(TAU_MODULI)
     basis = [big // m * pow(big // m, -1, m) for m in TAU_MODULI]
     lifted = (sum(map(operator.mul, rs, basis)) % big for rs in zip(*_tau_residues(X).tolist()))
@@ -333,7 +354,7 @@ def tau_ap(X: int) -> Dataset:
     for p, tau in zip(ps, raw):
         if tau ** 2 > 4 * p ** 11:
             raise DatasetError(f"tau({p}) = {tau} exceeds Deligne's bound 2 p^(11/2)")
-    records = Records(ps, [tau / p ** 5.5 for p, tau in zip(ps, raw)], raw)
+    records = Records(ps, [tau / p ** 5.5 for p, tau in zip(ps, raw)], a_raw=raw)
     return Dataset(DatasetHeader(f"tau[X={X}]", True, X), records)
 
 
@@ -341,18 +362,22 @@ def tau_ap(X: int) -> Dataset:
 # Synthetic sampler
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z):
     """SplitMix64's output mix of a uint64 array (arithmetic wraps mod 2^64)."""
+    import numpy as np
+
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> 31)
 
 
-def _sato_tate_angle(u: np.ndarray) -> np.ndarray:
+def _sato_tate_angle(u):
     """theta in [0, pi] with F(theta) = (theta - sin theta cos theta)/pi = u,
     the Sato-Tate CDF, for u in [0, 1): Newton's method from cbrt(3 pi u/2),
     where F(theta) ~ 2 theta^3/(3 pi) (mirrored about pi/2 for u >= 1/2),
     clipped to [0, pi].  Six steps reach |F(theta) - u| <= 3.4e-16."""
+    import numpy as np
+
     theta = np.cbrt(1.5 * np.pi * np.minimum(u, 1.0 - u))
     theta = np.where(u < 0.5, theta, np.pi - theta)
     for _ in range(6):
@@ -370,15 +395,16 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     53 bits of output i of SplitMix64 started at seed mod SEED_MODULUS, which
     is computed from (seed, i) alone, so output is reproducible, independent
     of evaluation order, and a prefix of any longer run with the same seed."""
-    limits.check_sato_tate(n)
-    ps, a = _first_primes(n), np.empty(n, dtype=np.complex128)
-    key = np.uint64(seed % SEED_MODULUS)
+    if n > ST_N_CAP:
+        raise ParameterError(f"n = {n} exceeds the sampler cap {ST_N_CAP}")
+    ps = _first_primes(n)
+    import numpy as np
+
+    a, key, golden = array("d"), np.uint64(seed % SEED_MODULUS), np.uint64(_GOLDEN)
     for i in range(0, n, CSV_BLOCK):  # elementwise, so a block's temporaries are all it holds
-        bits = _mix64(key + np.arange(i + 1, min(i + CSV_BLOCK, n) + 1, dtype=np.uint64) * _GOLDEN)
-        a[i : i + CSV_BLOCK] = 2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))
-    for column in (ps, a):  # owned and read-only, so Records adopts them
-        column.setflags(write=False)
-    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, int(ps[-1])), Records(ps, a))
+        bits = _mix64(key + np.arange(i + 1, min(i + CSV_BLOCK, n) + 1, dtype=np.uint64) * golden)
+        a.frombytes((2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))).tobytes())
+    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), Records(ps, a))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +444,7 @@ def csv_chunks(dataset: Dataset):
         raise DatasetError(f"header line {line!r} would not read back as written")
     yield line
     for block in (slice(i, i + CSV_BLOCK) for i in range(0, len(r), CSV_BLOCK)):
-        cols = (c[block].tolist() for c in (r.p, r.a.real, r.a.imag))  # no row outlives its block
+        cols = (c[block].tolist() for c in (r.p, r.a_re, r.a_im))  # no row outlives its block
         if r.a_raw is None:
             yield "".join([f"{p},{x!r},{y!r}\n" for p, x, y in zip(*cols)])
         else:
@@ -431,91 +457,66 @@ def read_csv(path: str | Path) -> Dataset:
 
 
 def loads_csv(text: str) -> Dataset:
-    """Parse a CSV dataset: the blocked numpy reader over the canonical rows,
-    the per-row loop for anything else, then one check of the columns of either,
+    """Parse a CSV dataset: the per-row loop, then one check of its columns,
     which names the line of the first bad row."""
     return _load(lambda: text.encode("utf-8", "surrogatepass"))
 
 
-def _loads_columns(data: bytes):
-    """The rows after data's header line, as dumps_csv writes them, parsed into
-    (p, a, a_raw), row r on line r + 2; None where loadtxt cannot read them, a
-    blank line holds no row or a p is outside 2..MAX_P, so that the per-row loop
-    numbers the rows and names the fault.  loadtxt takes CSV_BLOCK lines at a
-    time as bytes, not a str it would widen to 4 bytes a character, from a
-    BytesIO that shares data, into columns sized from the newline count."""
-    start = data.find(b"\n") + 1
-    kept, head = (text.translate(None, CSV_BYTES) for text in (data, data[:start]))
-    lines = len(kept) - len(head) + (not data.endswith(b"\n"))  # kept is head, then newlines, if canonical
-    width = data.count(b",", start, data.find(b"\n", start)) + 1  # loadtxt holds every row to it
-    if not (start and lines) or width not in (3, 4) or kept.rstrip(b"\n") != head[:-1]:
-        return None
-    fields = [("p", np.int64), ("re", np.float64), ("im", np.float64), ("raw", object)][:width]
-    p, a, raw, n = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.complex128), [], 0
-    rows = itertools.islice(io.BytesIO(data), 1, None)  # the lines after the header
-    with warnings.catch_warnings():
-        # numpy 1.23+ reads "5.7" into an int column through a float with a
-        # DeprecationWarning, where int() refuses it: any warning declines
-        warnings.simplefilter("error")
-        try:
-            for _ in range(0, lines, CSV_BLOCK):
-                block = np.loadtxt(
-                    itertools.islice(rows, CSV_BLOCK), dtype=fields, delimiter=",", comments=None,
-                    ndmin=1, converters={3: int} if width == 4 else None,
-                )
-                k = n + len(block)  # a.real and a.imag, since re + 1j*im would turn -0.0 into 0.0
-                p[n:k], a.real[n:k], a.imag[n:k] = block["p"], block["re"], block["im"]
-                raw += block["raw"].tolist() if width == 4 else []
-                n = k
-        except (ValueError, Warning):
-            return None
-    if n < lines or p.min() < 2 or p.max() > MAX_P:  # loadtxt skipped a blank line; p sizes a sieve
-        return None
-    for column in (p, a):  # owned and read-only, so Records adopts them
-        column.setflags(write=False)
-    return p, a, raw if width == 4 else None
+def _loads_rows(data: bytes, start: int, strict: bool):
+    """The lines of data from offset start on, line 2 first, parsed one at a time
+    into the columns (p, a_re, a_im, a_raw) and the numbers of the blank lines,
+    which hold no row; a row that does not parse, or whose p is outside
+    2..MAX_P, is refused at its line, which follows the rows and blank lines
+    before it.  The lines are decoded READ_BYTES at a time, so no list of them
+    spans the file.  Only a strict pass, over rows that hold a '_' or a
+    non-ASCII character somewhere, looks for them in each row."""
+    p, a_re, a_im, raws, blank = array("q"), array("d"), array("d"), [], []
+    width, end = None, start - 1
+    while end < len(data):
+        start = end + 1
+        end = data.find(b"\n", start + READ_BYTES)
+        if end < 0:
+            end = len(data)
+        for line in data[start:end].decode("utf-8").split("\n"):
+            parts = line.split(",")
+            if len(parts) != width:
+                if not line.strip():
+                    blank.append(len(p) + len(blank) + 2)
+                    continue
+                if width is not None or len(parts) not in (3, 4):
+                    message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
+                    raise DatasetFormatError(message, line=len(p) + len(blank) + 2)
+                width = len(parts)
+            if strict and ("_" in line or not line.isascii()):  # int() and float() read both as digits
+                what = "'_'" if "_" in line else "non-ASCII character"
+                raise DatasetFormatError(f"{what} in a number: {line!r}", line=len(p) + len(blank) + 2)
+            try:
+                q, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+                if width == 4:
+                    raws.append(int(parts[3]))
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), line=len(p) + len(blank) + 2) from None
+            # the range check comes before p goes into an int64 column or sizes a sieve
+            if not 2 <= q <= MAX_P:
+                raise DatasetFormatError(f"p = {q} is outside 2..{MAX_P}", line=len(p) + len(blank) + 2)
+            p.append(q)
+            a_re.append(x)
+            a_im.append(y)
+    return p, a_re, a_im, raws if width == 4 else None, blank
 
 
-def _loads_rows(lines: list[str]):
-    """The data lines after the header, numbered from 2, parsed one at a time into
-    (p, a, a_raw, linenos), linenos the line of each row, for a blank line holds
-    none; a row that does not parse, or whose p is outside 2..MAX_P, is refused at its line."""
-    ps, a, raws, linenos = [], [], [], []
-    width = None
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        linenos.append(lineno)
-        parts = line.split(",")
-        if width is None and len(parts) in (3, 4):
-            width = len(parts)
-        if len(parts) != width:
-            message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
-            raise DatasetFormatError(message, line=lineno)
-        if "_" in line or not line.isascii():  # int() and float() read both as digits
-            what = "'_'" if "_" in line else "non-ASCII character"
-            raise DatasetFormatError(f"{what} in a number: {line!r}", line=lineno)
-        try:
-            p, z = int(parts[0]), complex(float(parts[1]), float(parts[2]))
-            if width == 4:
-                raws.append(int(parts[3]))
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc), line=lineno) from None
-        # the range check comes before p sizes an int64 array or a sieve
-        if not 2 <= p <= MAX_P:
-            raise DatasetFormatError(f"p = {p} is outside 2..{MAX_P}", line=lineno)
-        ps.append(p)
-        a.append(z)
-    return np.array(ps, dtype=np.int64), a, raws if width == 4 else None, linenos
+def _text(data: bytes) -> str:
+    """data decoded as UTF-8; a byte that is not names its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
 
 def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
     """The header on the first line of UTF-8 data, and the lines after it, cut at each newline."""
-    try:
-        line, *rest = data.decode("utf-8").split("\n")  # '\x0b', '\x85', '\u2028', ... end no line
-    except UnicodeDecodeError as exc:  # the line of the bad byte
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    line, *rest = _text(data).split("\n")  # '\x0b', '\x85', '\u2028', ... end no line
     if not line.startswith("#"):
         raise DatasetFormatError("missing '#' header line", line=1)
     fields = {}
@@ -542,25 +543,26 @@ def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
 
 def _load(read) -> Dataset:
     """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text
-    mode ends them: canonical rows reach the blocked reader undecoded, any other
-    text the per-row loop, and the bytes go before the checks of the columns."""
+    mode ends them; the bytes go before the checks of the columns."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it, so that a line ends at b"\n" alone
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    columns = _loads_columns(data)
-    start = data.find(b"\n") + 1 if columns else len(data)  # a canonical body stays undecoded
-    header, lines = _head(data[:start])  # through the newline, so that a fault reads as in the whole text
-    if columns is None:
-        *columns, linenos = _loads_rows(lines)
-    else:
-        linenos = range(2, len(columns[0]) + 2)  # row r is line r + 2
-    p, a, raw = columns
+    plain = data.isascii()
+    if not plain:  # the whole text first, so that its first bad byte is the fault named
+        _text(data)
+    start = data.find(b"\n") + 1 or len(data)
+    header, _ = _head(data[:start])
+    # once over the rows, so that a clean text skips the per-row test
+    p, a_re, a_im, raw, blank = _loads_rows(data, start, not plain or data.find(b"_", start) >= 0)
     del data  # the columns are all that is left of the text
     try:
-        composite = ~_sieve(int(p.max(initial=2)))[p]
-        if composite.any():
-            row = int(np.argmax(composite))
-            raise DatasetError(f"p = {p[row]} is not prime", row=row)
-        return Dataset(header, Records(p, a, raw))
-    except DatasetError as exc:  # each fault names its row, and linenos the row's line
-        raise DatasetFormatError(str(exc), line=linenos[exc.row]) from None
+        sieve = _sieve(max(p, default=2))
+        composite = next(itertools.filterfalse(sieve.__getitem__, p), None)
+        if composite is not None:  # its first row, for a composite met before is met first
+            raise DatasetError(f"p = {composite} is not prime", row=p.index(composite))
+        return Dataset(header, Records(p, a_re, a_im, raw))
+    except DatasetError as exc:  # each fault names its row, and the blank lines before it move its line
+        line = exc.row + 2
+        for b in blank:  # in order, so each one at or before the line moves it down one
+            line += b <= line
+        raise DatasetFormatError(str(exc), line=line) from None

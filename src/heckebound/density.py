@@ -4,20 +4,25 @@ Truncated Dirichlet sums, density profiles, pole-order probes, and
 theorem-checking reports.  Finite truncations cannot estimate Dirichlet
 densities properly (the partial prime sum saturates at loglog X), so the
 harness fixes the operating point s = 1 + 1/log X and reports both natural
-and Dirichlet-weighted proportions as diagnostics, not proofs.
+and Dirichlet-weighted proportions as diagnostics, not proofs.  It computes
+in Python floats over the record columns, without numpy, and adds each power
+sum with math.fsum, which rounds once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import heapq
+import itertools
 import math
+import operator
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 
-import numpy as np
-
 from .bounds import DEFAULT_EPSILON, THEOREMS
-from .datasets import CSV_BLOCK, Records
+from .datasets import Records
 from .errors import DatasetError, ParameterError
 
 #: desk-scale proxy for "infinitely many": at least this fraction of primes
@@ -29,15 +34,23 @@ def _require_records(records: Records) -> None:
         raise DatasetError("empty dataset")
 
 
-def _rotated(records: Records, phi: float) -> np.ndarray:
-    """Re(a_p e^{i phi}) over a non-empty dataset and a finite phi, as a new array."""
+def _rotated(records: Records, phi: float) -> array:
+    """Re(a_p e^{i phi}) = a_re cos(phi) - a_im sin(phi) over a non-empty dataset
+    and a finite phi, as a new float64 array."""
     _require_records(records)
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}")
-    a, turn, vals = records.a, cmath.exp(1j * phi), np.empty(len(records))
-    for i in range(0, len(a), CSV_BLOCK):  # so that no complex temporary spans the records
-        vals[i : i + CSV_BLOCK] = (a[i : i + CSV_BLOCK] * turn).real
-    return vals
+    turn = cmath.exp(1j * phi)
+    if math.copysign(1.0, turn.imag) > 0 and not any(records.a_im.cast("B").cast("Q")):
+        # every a_im is +0.0 (all its bits clear) and sin(phi) >= +0.0, as for every generated
+        # file at phi in [0, pi], so subtracting a_im sin(phi) = +0.0 changes no bit
+        if turn.real == 1.0:  # and a_re * 1.0 is a_re
+            vals = array("d")
+            vals.frombytes(records.a_re.cast("B"))
+            return vals
+        return array("d", map(operator.mul, records.a_re, itertools.repeat(turn.real)))
+    cos, sin = itertools.repeat(turn.real), itertools.repeat(turn.imag)
+    return array("d", map(operator.sub, map(operator.mul, records.a_re, cos), map(operator.mul, records.a_im, sin)))
 
 
 def operating_point(records: Records) -> float:
@@ -52,29 +65,28 @@ def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float
 
 
 def _truncated_sums(records: Records, k: int, s_grid: Sequence[float], phi: float = 0.0) -> list[float]:
-    """truncated_sum at each s of the grid, raising to the k-th power once."""
+    """truncated_sum at each s of the grid, raising to the k-th power once;
+    each term is the power times p^-s, which underflows to 0 where p^s would
+    overflow."""
     vals = _rotated(records, phi)
     if k < 0:
         raise ParameterError(f"need k >= 0, got {k}")
     for s in s_grid:
         if not (math.isfinite(s) and s > 1.0):
             raise ParameterError(f"need finite s > 1, got {s}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            vals **= k  # in place, with the scalar-power dispatch of vals ** k
-            weights = (np.power(records.p, s, dtype=float) for s in s_grid)  # one at a time
-            totals = [float(np.sum(np.divide(vals, w, out=w))) for w in weights]
-        except OverflowError:  # numpy takes a k past int64 as a double, and this one overflows
-            totals = [math.inf]
-    if not all(math.isfinite(total) for total in totals):
-        if k < 10**20:  # up to 20 digits, which covers 2**64; a longer k is named by its length
-            raise ParameterError(f"the k={k} power sum overflows a double")
-        # str(k) refuses past 4300 digits, so count them from the bit length b:
-        # 2**(b-1) <= k < 2**b, and if 2**(b-1) has d digits, k has d or d + 1
-        digits = int((k.bit_length() - 1) * math.log10(2)) + 1
-        digits += k >= 10**digits
-        raise ParameterError(f"the k-th power sum overflows a double (k has {digits} digits)")
-    return totals
+    try:  # a power past the double range, or a k past it, raises OverflowError; so does fsum past it
+        powers = array("d", map(pow, vals, itertools.repeat(k)))
+        del vals
+        return [math.fsum(map(operator.mul, powers, map(pow, records.p, itertools.repeat(-s)))) for s in s_grid]
+    except OverflowError:
+        pass
+    if k < 10**20:  # up to 20 digits, which covers 2**64; a longer k is named by its length
+        raise ParameterError(f"the k={k} power sum overflows a double")
+    # str(k) refuses past 4300 digits, so count them from the bit length b:
+    # 2**(b-1) <= k < 2**b, and if 2**(b-1) has d digits, k has d or d + 1
+    digits = int((k.bit_length() - 1) * math.log10(2)) + 1
+    digits += k >= 10**digits
+    raise ParameterError(f"the k-th power sum overflows a double (k has {digits} digits)")
 
 
 DensityReport = namedtuple(
@@ -92,18 +104,20 @@ def density_profile(
         raise ParameterError(f"threshold must be finite and >= 0, got {c}")
     if side not in ("above", "below"):
         raise ParameterError(f"side must be 'above' or 'below', got {side!r}")
-    mask = vals > c if side == "above" else vals < -c
+    beyond = functools.partial(operator.lt, c) if side == "above" else functools.partial(operator.gt, -c)
+    hits = array("b", map(beyond, vals))
     s = operating_point(records)
-    weights = np.power(records.p, -s, dtype=float)
+    weights = array("d", map(pow, records.p, itertools.repeat(-s)))
+    count = sum(hits)
     return DensityReport(
         threshold=c,
         side=side,
         phi=phi,
-        natural_proportion=float(mask.mean()),
-        dirichlet_weighted=float(weights[mask].sum() / weights.sum()),
-        count=int(mask.sum()),
+        natural_proportion=count / len(records),
+        dirichlet_weighted=math.fsum(itertools.compress(weights, hits)) / math.fsum(weights),
+        count=count,
         s_used=s,
-        X=int(records.p[-1]),
+        X=records.p[-1],
     )
 
 
@@ -151,12 +165,13 @@ def verify_theorem(
     if needs_self_dual and not self_dual:
         raise DatasetError(f"theorem {theorem} requires a self-dual dataset")
     constant = bound(phi).constant
-    vals *= sign  # in place: negation is exact, so sign * vals[i] is each value again
-    mask = vals > constant - epsilon
-    idx = np.nonzero(mask)[0]
-    top = idx[np.argsort(-vals[idx], kind="stable")][:10]
-    witnesses = tuple((int(records.p[i]), float(sign * vals[i])) for i in top)
-    count = int(mask.sum())
+    # sign * v > constant - epsilon, as v > cut or v < cut: negation is exact,
+    # so each side compares the rotated values themselves
+    cut = functools.partial(operator.lt if sign > 0 else operator.gt, sign * (constant - epsilon))
+    hits = array("q", itertools.compress(itertools.count(), map(cut, vals)))
+    top = (heapq.nlargest if sign > 0 else heapq.nsmallest)(10, hits, key=vals.__getitem__)  # stable on ties
+    witnesses = tuple((records.p[i], vals[i]) for i in top)
+    count = len(hits)
     required = math.floor(WITNESS_FRACTION * len(records))
     return TheoremReport(
         theorem=theorem,

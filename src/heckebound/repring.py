@@ -35,6 +35,7 @@ OPAQUE_DUALS: Mapping[str, str] = MappingProxyType(
     {"pi_chi": "pi_chi_bar", "pi_chi_bar": "pi_chi"}
 )
 OPAQUE_DIM = 2
+PAIR_DEGREE_CAP = 1000  # so that `decompose --pair` stays a desk-scale call
 MONOMIAL_LABEL = "pi_chi"
 
 
@@ -152,9 +153,12 @@ class VirtualRep(namedtuple("VirtualRep", "terms", defaults=((),))):
 
 
 def cg_pair(a: int, b: int) -> VirtualRep:
-    """Sym^a x Sym^b = sum over j of Sym^(a+b-2j) twisted by w^j."""
+    """Sym^a x Sym^b = sum over j of Sym^(a+b-2j) twisted by w^j, for degrees
+    up to PAIR_DEGREE_CAP (the sum has min(a, b) + 1 terms)."""
     if a < 0 or b < 0:
         raise AlgebraError("cg_pair needs non-negative degrees")
+    if max(a, b) > PAIR_DEGREE_CAP:
+        raise AlgebraError(f"cg_pair supports degrees up to {PAIR_DEGREE_CAP}, got {a} and {b}")
     return VirtualRep.from_terms((sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
 
 

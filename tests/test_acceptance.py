@@ -158,9 +158,9 @@ def test_criterion_6_moment_probes(st_100k):
     samples = [st_100k] + [sato_tate_sample(n, seed) for seed in (1, 2, 3, 4)]
     for data in samples:
         records = data.records
-        a = records.a.real
+        a = np.array(records.a_re)
         s = 1.0 + 1.0 / math.log(records.p[-1])
-        weights = records.p.astype(float) ** -s
+        weights = np.array(records.p, dtype=float) ** -s
         for k, (mean, var) in ST_MOMENTS.items():
             # the draws are independent, so the unweighted mean has variance
             # var/n and the Dirichlet sum mean*sum(w) and variance var*sum(w^2)
@@ -182,9 +182,10 @@ def test_criterion_7_rotation_consistency():
     rng = random.Random(99)
     primes = first_n_primes(2000)
     values = [cmath.rect(rng.uniform(0, 2), rng.uniform(0, 2 * math.pi)) for p in primes]
-    records = Records(primes, values)
+    records = Records(primes, [a.real for a in values], [a.imag for a in values])
     for phi in (0.3, math.pi / 4, 1.9):
-        rotated = Records(primes, [a * cmath.exp(1j * phi) for a in values])
+        turned = [a * cmath.exp(1j * phi) for a in values]
+        rotated = Records(primes, [a.real for a in turned], [a.imag for a in turned])
         for c, side in [(0.5, "above"), (0.9, "above"), (1.1, "below")]:
             direct = density_profile(records, c, side, phi=phi)
             pre = density_profile(rotated, c, side, phi=0.0)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckebound import cli, datasets
 from heckebound.cli import main
@@ -287,6 +290,134 @@ def test_refused_generate_and_probe_leave_numpy_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_read_calls_leave_numpy_unloaded(tmp_path):
+    # datasets and density import no numpy: only a generate that runs loads it,
+    # so every verify and probe, passed or refused, starts without it
+    head = "# source=x,self_dual=true,X=13\n"
+    files = {
+        "tau": datasets.dumps_csv(datasets.tau_ap(100)),
+        "nan": head + "11,nan,0.0\n13,0.5,0.0\n",
+        "composite": head + "3,0.1,0.0\n9,0.2,0.0\n",
+        "blank": head + "3,0.1,0.0\n\n9,0.2,0.0\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    calls = [(["verify", "--input", paths["tau"], "--theorem", t], 0) for t in ("t1pos", "t1neg", "t2")]
+    calls += [(["probe", "--input", paths["tau"], "--k", k], 0) for k in ("2", "4")]
+    calls += [(["verify", "--input", paths[name], "--theorem", "t1pos"], 1) for name in ("nan", "composite", "blank")]
+    code = (
+        "import contextlib, io, sys\n"
+        "import heckebound.datasets, heckebound.density\n"
+        "from heckebound.cli import main\n"
+        f"for argv, want in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == want, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_decompose_pair_past_the_cap_exits_one(capsys):
+    code, out, err = run(capsys, "decompose", "--pair", "1001", "1001")
+    assert (code, out, err) == (1, "", "error: cg_pair supports degrees up to 1000, got 1001 and 1001\n")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn argv
+
+# numbers where int() and float() take a text argparse may not expect, and
+# sizes that stay small, so that no drawn call generates more than 200 rows
+EDGE_NUMBERS = ["nan", "inf", "1e309", "1_0", "\u0661\u0660", str(2**64), "12345678901234567890", "", "0.5"]
+NUMBER = st.one_of(st.integers(-3, 200).map(str), st.sampled_from(EDGE_NUMBERS))
+ATOM = st.one_of(
+    st.sampled_from(["pi", "Sym2(pi)", "Sym4(pi)*w^-1", "Sym3(pi)*mu", "pi_chi", "nu*Sym3(pi)*pi", "w^2", "Sym(pi)"]),
+    st.text("Sym()pi*w^-_0123456789", max_size=12),
+)
+TYPE = st.sampled_from(["general", "tetrahedral", "octahedral", "dihedral", "cubic"])
+PINNED_CSV = (
+    b"# source=fixture,self_dual=true,X=13\n"
+    b"5,0.4472135954999579,0.0,1\n7,-0.7559289460184544,0.0,-2\n13,1.1094003924504583,0.0,4\n"
+)
+
+
+@st.composite
+def csv_files(draw):
+    """PINNED_CSV with up to three byte flips or insertions."""
+    data = bytearray(PINNED_CSV)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        if draw(st.booleans()):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        else:
+            data[at:at] = draw(st.sampled_from([b"\r", b"\x0c", b"#", b"_", b"nan", b"\xff"]))
+    return bytes(data)
+
+
+# each subcommand's flags, each drawn or left out, with the strategies of its values
+GRAMMAR = {
+    "decompose": [("--k", [NUMBER]), ("--pair", [NUMBER, NUMBER]), ("--atom", [ATOM]), ("--type", [TYPE]), ("--json", [])],
+    "poles": [
+        ("--k", [NUMBER]), ("--type", [TYPE]), ("--self-dual", [st.sampled_from(["true", "false", "maybe", ""])]),
+        ("--omega-order", [NUMBER]), ("--json", []),
+    ],
+    "bounds": [
+        ("--side", [st.sampled_from(["pos", "neg", "nsd", "weak", "both"])]),
+        ("--pole4", [NUMBER]), ("--pole8", [NUMBER]), ("--pole6", [NUMBER]), ("--phi", [NUMBER]), ("--json", []),
+    ],
+    "generate": [
+        ("--kind", [st.sampled_from(["ec", "tau", "st", "cm"])]), ("--a", [NUMBER]), ("--b", [NUMBER]),
+        ("--seed", [NUMBER]),
+    ],
+    "verify": [
+        ("--input", [st.just("FILE")]), ("--theorem", [st.sampled_from(["t1pos", "t1neg", "t2", "t9"])]),
+        ("--phi", [NUMBER]), ("--eps", [NUMBER]), ("--json", []),
+    ],
+    "probe": [
+        ("--input", [st.just("FILE")]), ("--k", [NUMBER]),
+        ("--s-grid", [st.one_of(st.sampled_from(["1.5,1.3,1.2,1.1", "2,1.01,1.5"]), st.lists(NUMBER, max_size=4).map(",".join))]),
+        ("--json", []),
+    ],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag, values in GRAMMAR[command]:
+        if draw(st.booleans()):
+            argv += [flag] + [draw(value) for value in values]
+    if command == "generate":  # always sized, so that no default size (10^4) runs
+        argv += ["--x", draw(NUMBER), "--n", draw(NUMBER)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs(), csv_files())
+def test_every_drawn_call_keeps_the_exit_code_contract(tmp_path_factory, argv, data):
+    # 0 ok, 1 domain error with one `error:` line, 2 usage error; never a traceback
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.unlink(missing_ok=True)  # a new file, not a truncated one that ext4 flushes on close
+    path.write_bytes(data)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_generate_ec_defaults_to_11a1(capsys):

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,8 @@ from heckebound.datasets import (
     write_csv,
 )
 from heckebound.errors import DatasetError, DatasetFormatError, ParameterError
+
+from csv_oracle import oracle
 
 SRC = str(Path(datasets.__file__).resolve().parents[1])
 # the environment of a CLI process that imports this checkout's package
@@ -207,7 +209,7 @@ def test_ec_batch_matches_scalar_path(A, B, X):
     # primes the points before it leave: each decision equals the sweep
     data = ec_ap(A, B, X)
     swept = dict(zip(data.records.p.tolist(), sweep_traces(A, B, data)))
-    ps, settled = data.records.p, 0
+    ps, settled = np.array(data.records.p), 0
     for point in range(4):
         for i in range(0, len(ps), EC_BLOCK):
             block = ps[i : i + EC_BLOCK]
@@ -338,7 +340,8 @@ def test_ec_bad_primes_skipped(ec_11a1):
 
 def test_ec_hasse_bound(ec_11a1):
     r = ec_11a1.records
-    for p, a, raw in zip(r.p.tolist(), r.a.tolist(), r.a_raw):
+    assert not any(r.a_im)
+    for p, a, raw in zip(r.p.tolist(), r.a_re.tolist(), r.a_raw):
         assert abs(raw) <= 2 * math.sqrt(p)
         assert abs(a) <= 2.0 + 1e-12
 
@@ -454,7 +457,8 @@ def test_tau_multiplicative_at_six():
 
 
 def test_tau_deligne_bound(tau_10k):
-    for a in tau_10k.records.a.tolist():
+    assert not any(tau_10k.records.a_im)
+    for a in tau_10k.records.a_re.tolist():
         assert abs(a) <= 2.0
 
 
@@ -492,7 +496,7 @@ def test_sato_tate_cap_enforced():
 
 
 def test_sato_tate_moments(st_100k):
-    a = st_100k.records.a.real.tolist()
+    a = st_100k.records.a_re.tolist()
     n = len(a)
     assert sum(a) / n == pytest.approx(0.0, abs=0.02)
     assert sum(v * v for v in a) / n == pytest.approx(1.0, abs=0.02)
@@ -509,7 +513,7 @@ def test_sato_tate_prefix_stable():
     # per-record seeding: a longer run reproduces the shorter one exactly
     short = sato_tate_sample(50, 7).records
     long = sato_tate_sample(100, 7).records
-    assert short == Records(long.p[:50], long.a[:50])
+    assert short == Records(long.p[:50], long.a_re[:50])
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,14 +521,14 @@ def test_sato_tate_prefix_stable():
 def test_sato_tate_prefix_property(n, extra, seed):
     short = sato_tate_sample(n, seed).records
     long = sato_tate_sample(n + extra, seed).records
-    assert short == Records(long.p[:n], long.a[:n])
+    assert short == Records(long.p[:n], long.a_re[:n])
 
 
 def one_shot_sample(n, seed):
     # the sampler's expression before it filled its column a block at a time
     key = np.uint64(seed % datasets.SEED_MODULUS)
-    bits = datasets._mix64(key + np.arange(1, n + 1, dtype=np.uint64) * datasets._GOLDEN)
-    return (2.0 * np.cos(datasets._sato_tate_angle((bits >> 11) * 2.0**-53))).astype(np.complex128)
+    bits = datasets._mix64(key + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(datasets._GOLDEN))
+    return 2.0 * np.cos(datasets._sato_tate_angle((bits >> 11) * 2.0**-53))
 
 
 @pytest.mark.parametrize("block", [CSV_BLOCK, 100])
@@ -532,7 +536,9 @@ def one_shot_sample(n, seed):
 def test_blocked_sampler_matches_the_one_shot_expression(monkeypatch, block, seed):
     monkeypatch.setattr(datasets, "CSV_BLOCK", block)
     for n in (1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 7):
-        assert sato_tate_sample(n, seed).records.a.tobytes() == one_shot_sample(n, seed).tobytes()
+        records = sato_tate_sample(n, seed).records
+        assert records.a_re.tobytes() == one_shot_sample(n, seed).tobytes()
+        assert records.a_im.tobytes() == bytes(8 * n)
 
 
 def test_sampler_memory_is_its_columns_and_one_block():
@@ -564,7 +570,7 @@ def test_cli_import_leaves_hashlib_unloaded():
 
 
 def test_sato_tate_kolmogorov_smirnov(st_100k):
-    thetas = sorted(math.acos(max(-1.0, min(1.0, a / 2))) for a in st_100k.records.a.real.tolist())
+    thetas = sorted(math.acos(max(-1.0, min(1.0, a / 2))) for a in st_100k.records.a_re.tolist())
     n = len(thetas)
     worst = 0.0
     for i, theta in enumerate(thetas):
@@ -574,7 +580,8 @@ def test_sato_tate_kolmogorov_smirnov(st_100k):
 
 
 def test_sato_tate_bounds(st_100k):
-    assert all(-2 <= a <= 2 for a in st_100k.records.a.real.tolist())
+    assert all(-2 <= a <= 2 for a in st_100k.records.a_re.tolist())
+    assert not any(st_100k.records.a_im)
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +596,14 @@ def test_round_trip(tmp_path, ec_11a1):
     assert len(back.records) == len(ec_11a1.records)
     got, want = back.records, ec_11a1.records
     assert got.p.tolist() == want.p.tolist()
-    assert got.a.tolist() == want.a.tolist()
+    assert got.a_re.tolist() == want.a_re.tolist() and got.a_im.tolist() == want.a_im.tolist()
     assert got.a_raw == want.a_raw
 
 
 def per_row_csv(data):
     # the data rows as formatted one list per file, before row blocks
     r = data.records
-    rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(r.p.tolist(), r.a.real.tolist(), r.a.imag.tolist())]
+    rows = [f"{p},{x!r},{y!r}" for p, x, y in zip(r.p.tolist(), r.a_re.tolist(), r.a_im.tolist())]
     if r.a_raw is not None:
         rows = [f"{row},{raw}" for row, raw in zip(rows, r.a_raw)]
     return rows
@@ -644,8 +651,8 @@ def test_generated_bytes_are_pinned(tmp_path, build, argv, digest):
 
 def block_records(n, raw=False):
     rng = np.random.default_rng(n)
-    a = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-    return Records(first_n_primes(n), a, rng.integers(-(10**6), 10**6, n).tolist() if raw else None)
+    re, im = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    return Records(first_n_primes(n), re, im, rng.integers(-(10**6), 10**6, n).tolist() if raw else None)
 
 
 @pytest.mark.parametrize("raw", [False, True], ids=["3-columns", "4-columns"])
@@ -849,7 +856,7 @@ def test_header_the_reader_cannot_read_back_is_refused(tmp_path, header):
 )
 def test_header_with_a_character_only_splitlines_breaks_at_reads_back(tmp_path, source):
     # a line ends at a newline alone, so these are characters of the source, as for awk
-    data = Dataset(DatasetHeader(source, True, 10), Records([2, 3], [0.5, -0.5j]))
+    data = Dataset(DatasetHeader(source, True, 10), Records([2, 3], [0.5, 0.0], [0.0, -0.5]))
     path = tmp_path / "source.csv"
     write_csv(path, data)
     assert path.read_bytes().split(b"\n")[0] == f"# source={source},self_dual=true,X=10".encode()
@@ -862,7 +869,7 @@ SOURCE_CHARS = [",", "=", "#", " ", "\t", "\n", "\r", "\x0b", "\x85", "\u2028", 
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.one_of(st.sampled_from(SOURCE_CHARS), st.characters(exclude_categories=())), max_size=8))
 def test_every_source_the_writer_takes_reads_back(tmp_path_factory, source):
-    data = Dataset(DatasetHeader(source, False, 10), Records([2, 3], [0.5, -0.5j], [1, -2]))
+    data = Dataset(DatasetHeader(source, False, 10), Records([2, 3], [0.5, 0.0], [0.0, -0.5], [1, -2]))
     path = tmp_path_factory.getbasetemp() / "source.csv"
     try:
         write_csv(path, data)
@@ -874,12 +881,13 @@ def test_every_source_the_writer_takes_reads_back(tmp_path_factory, source):
 
 
 def test_sampler_and_reader_columns_hold_no_larger_array(tmp_path, st_100k):
-    # neither the sieve's primes nor the reader's table of parsed fields
-    # outlives the columns cut from it
+    # neither the sieve's primes nor the reader's growing columns outlive the
+    # columns copied from them: each view spans the whole of its array
     path = tmp_path / "st.csv"
     write_csv(path, st_100k)
     for records in (st_100k.records, read_csv(path).records):
-        assert records.p.base is None and records.a.base is None
+        for column in (records.p, records.a_re, records.a_im):
+            assert isinstance(column.obj, array) and column.obj.buffer_info()[1] == len(records)
 
 
 def test_write_csv_memory_is_one_block(tmp_path):
@@ -899,36 +907,26 @@ def test_write_csv_memory_is_one_block(tmp_path):
     assert peak(16) <= 1.5 * peak(4)
 
 
-def per_row(text):
-    """loads_csv with the one-pass reader declining, so the per-row loop decides."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datasets, "_loads_columns", lambda body: None)
-        return loads_csv(text)
-
-
 def outcome(load, text):
-    """What a reader makes of a text: the dataset to the bit, or the error's
-    class and message (which names the line).  A warning fails the test."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            data = load(text)
-        except DatasetError as exc:
-            return type(exc), str(exc)
+    """What a reader makes of a text: the columns to the bit, as oracle gives
+    them, or the error's class and message (which names the line)."""
+    try:
+        data = load(text)
+    except DatasetError as exc:
+        return type(exc), str(exc)
     r = data.records
-    return data.header, r.p.tobytes(), r.a.tobytes(), r.a_raw
+    return data.header, r.p.tobytes(), r.a_re.tobytes(), r.a_im.tobytes(), r.a_raw
 
 
 def test_one_pass_reader_takes_every_generated_file(st_100k, tau_10k, ec_11a1):
     for data in (st_100k, tau_10k, ec_11a1):
         text = dumps_csv(data)
-        assert datasets._loads_columns(text.encode()) is not None
-        assert outcome(loads_csv, text) == outcome(per_row, text) == outcome(lambda _: data, text)
+        assert outcome(loads_csv, text) == oracle(text) == outcome(lambda _: data, text)
 
 
 CSV_HEAD = "# source=x,self_dual=true,X=50"
 CSV_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, MAX_P]
-# cells and characters on which numpy's loadtxt, int()/float() and the line rule
+# cells and characters on which int()/float(), a numpy reader and the line rule
 # were seen or are known to disagree, or that sit at a range boundary
 ODD_CELLS = [
     "5.0", "5.7", "5e0", "+5", "-5", "05", "4", "1", "0", "", "1e400", "-1e400", "1e-400",
@@ -977,7 +975,7 @@ def under_head(body):
         st.text(st.sampled_from(list("0123456789,.e\n") + ODD_CHARS), max_size=30).map(under_head),
     )
 )
-@example(f"{CSV_HEAD}\n")  # header only: loadtxt warns on empty input
+@example(f"{CSV_HEAD}\n")  # header only
 @example(f"{CSV_HEAD}\n5,0.5,0.0\n\n7,0.1,0.2\n")
 @example(f"{CSV_HEAD}\n5,0.5\x0b,0.0\n7,0.1,0.2\n")
 @example(f"{CSV_HEAD}\n5,0.5,0.0\x0c\n7,0.1,0.2\n")
@@ -996,19 +994,21 @@ def under_head(body):
 @example(f"{CSV_HEAD}\n5,1e400,0.0\n")
 @example(f"{CSV_HEAD}\n{2**63},0.5,0.0\n")
 def test_one_pass_reader_agrees_with_the_per_row_loop(text):
-    assert outcome(loads_csv, text) == outcome(per_row, text)
+    # the per-row loop is the oracle's, one csv row at a time
+    assert outcome(loads_csv, text) == oracle(text)
 
 
 @settings(max_examples=200, deadline=None)
-@given(csv_texts(), st.integers(1, 3))
-@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n\n7,0.1,0.2\n", 2)  # the second block is blank
-@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n7,0.1,0.2\n9,0.3,0.0\n11,0.1,0.0\n", 2)  # composite after a blank line
-@example(f"{CSV_HEAD}\n5,0.5,0.0\n7,0.1,0.2\n13,0.2,0.0\n11,0.3,0.0", 2)  # out of order, no newline at the end
+@given(csv_texts(), st.integers(1, 40))
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n\n7,0.1,0.2\n", 11)  # the second block is blank lines
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n\n7,0.1,0.2\n9,0.3,0.0\n11,0.1,0.0\n", 11)  # composite after a blank line
+@example(f"{CSV_HEAD}\n5,0.5,0.0\n7,0.1,0.2\n13,0.2,0.0\n11,0.3,0.0", 11)  # out of order, no newline at the end
 def test_blocked_reader_agrees_with_the_per_row_loop_across_blocks(text, block):
-    # a fault, a blank line or the end of the text at or across a block boundary
+    # a fault, a blank line or the end of the text at or across the newline
+    # that ends a block of READ_BYTES, which the reader decodes at a time
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datasets, "CSV_BLOCK", block)
-        assert outcome(loads_csv, text) == outcome(per_row, text)
+        patch.setattr(datasets, "READ_BYTES", block)
+        assert outcome(loads_csv, text) == oracle(text)
 
 
 @pytest.mark.parametrize(
@@ -1022,31 +1022,25 @@ def test_blocked_reader_agrees_with_the_per_row_loop_across_blocks(text, block):
     ],
     ids=["composite", "order", "1e400", "above-X", "composite-4-columns"],
 )
-def test_canonical_fault_refused_from_its_columns(monkeypatch, rows):
-    # the one-pass columns reach the shared check, which names the line the
-    # per-row loop would, without a second parse
+def test_canonical_fault_refused_from_its_columns(rows):
+    # rows that each parse reach the checks of the columns, which name the
+    # line of the first bad row
     text = f"# source=x,self_dual=true,X=10\n{rows}"
-    want = outcome(per_row, text)
-    assert want[0] is DatasetFormatError
-
-    def no_second_parse(lines):
-        raise AssertionError("the per-row loop parsed a canonical text")
-
-    monkeypatch.setattr(datasets, "_loads_rows", no_second_parse)
+    want = oracle(text)
+    assert want[0] is DatasetFormatError and want[1].startswith("line 3: ")
     assert outcome(loads_csv, text) == want
 
 
 @pytest.mark.parametrize("last", ["17", "15"], ids=["valid", "composite-last"])
 @pytest.mark.parametrize("at", [0, 3, 4, 5, 7], ids=["first", "block-start", "block-middle", "block-end", "text-end"])
-def test_blank_line_declines_the_blocked_reader(monkeypatch, at, last):
-    # with blocks of 3 lines, a blank line among the rows goes to the per-row
-    # loop, which numbers the lines that hold rows, wherever it falls
-    monkeypatch.setattr(datasets, "CSV_BLOCK", 3)
+def test_blank_line_moves_the_line_of_each_row_after_it(monkeypatch, at, last):
+    # with blocks of 24 bytes, about three rows, a blank line numbers the rows
+    # after it one line further down, wherever it falls
+    monkeypatch.setattr(datasets, "READ_BYTES", 24)
     rows = [f"{p},0.{p},0.0" for p in (2, 3, 5, 7, 11, 13)] + [f"{last},0.5,0.0"]
     rows.insert(at, "")
     text = CSV_HEAD + "\n" + "\n".join(rows) + "\n"
-    assert datasets._loads_columns(text.encode()) is None
-    assert outcome(loads_csv, text) == outcome(per_row, text)
+    assert outcome(loads_csv, text) == oracle(text)
     if last == "15":
         assert outcome(loads_csv, text)[1] == f"line {9 - (at == 7)}: p = 15 is not prime"
 
@@ -1054,8 +1048,8 @@ def test_blank_line_declines_the_blocked_reader(monkeypatch, at, last):
 @pytest.mark.parametrize("raw", ["", ",1"], ids=["3-columns", "4-columns"])
 @pytest.mark.parametrize("p", ["5.0", "5.7", "5e0"])
 def test_float_prime_refused_at_its_line(p, raw):
-    # numpy 1.23+ reads these into an int64 column through a float with only a
-    # DeprecationWarning; int() refuses them, and so does the reader on any numpy
+    # numpy's loadtxt 1.23+ reads these into an int64 column through a float
+    # with only a DeprecationWarning; int() refuses them, and so does the reader
     text = f"# source=x,self_dual=true,X=10\n3,0.1,0.0{raw}\n{p},0.2,0.0{raw}\n"
     message = f"line 3: invalid literal for int() with base 10: {p!r}"
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
@@ -1063,12 +1057,13 @@ def test_float_prime_refused_at_its_line(p, raw):
 
 
 def test_one_pass_reader_allocates_less_than_the_per_row_loop():
-    # loadtxt widens a str it is given to 4 bytes a character: that copy alone
-    # would break the second bound
+    # the text's bytes, one block of its lines and the columns; the oracle's
+    # per-row loop holds a list per row, and a reader that split the whole
+    # text into lines would hold about three times the text in them
     text = dumps_csv(sato_tate_sample(20_000, 5))
     loads_csv(text)  # lazy imports and caches come before the count
     peaks = []
-    for load in (loads_csv, per_row):
+    for load in (loads_csv, oracle):
         tracemalloc.start()
         try:
             load(text)
@@ -1095,9 +1090,9 @@ def test_read_csv_holds_one_copy_of_the_file(tmp_path):
 
 
 def test_read_csv_holds_the_file_and_its_columns(tmp_path, st_100k):
-    # the blocked reader holds the file's bytes, the p and a columns and one
-    # block of fields, near 2.0 times the file; a body split off beside the
-    # bytes and loadtxt's whole-file table of fields took it near 2.6
+    # the reader holds the file's bytes, its three columns and one block of
+    # lines, near 1.9 times the file; the whole file's lines beside the bytes
+    # would take it past 4
     path = tmp_path / "st.csv"
     write_csv(path, st_100k)
     read_csv(path)  # lazy imports and caches come before the count
@@ -1118,7 +1113,7 @@ def test_round_trip_empty():
 def test_simple_row_parses():
     data = loads_csv("# source=x,self_dual=true,normalization=unitary,X=10,omega_trivial=true\n5,0.447213,0.0\n")
     assert data.records.p[0] == 5
-    assert data.records.a[0] == pytest.approx(0.447213)
+    assert data.records.a_re[0] == pytest.approx(0.447213)
 
 
 def test_non_prime_row_rejected():
@@ -1192,19 +1187,20 @@ def test_missing_header_rejected():
 )
 def test_records_validated_on_construction(p, a, a_raw):
     with pytest.raises(DatasetError):
-        Records(p, a, a_raw)
+        Records(p, a, a_raw=a_raw)
 
 
 def test_records_are_read_only():
     records = Records([2, 3], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        records.a[0] = 5.0
+    for column in (records.p, records.a_re, records.a_im):
+        with pytest.raises(TypeError):  # a read-only memoryview
+            column[0] = 5
 
 
 def test_empty_records_are_valid():
-    # numpy types an empty list float64; no prime is made up, so it is valid
+    # no prime is made up, so it is valid
     assert len(Records([], [])) == 0
-    assert Records([], []).p.dtype == np.int64
+    assert Records([], []).p.format == "q"
 
 
 def test_header_line_keys():
@@ -1300,17 +1296,14 @@ def test_no_text_escapes_the_reader_as_a_unicode_error(text):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_read_csv_gives_the_body_bytes_to_the_one_pass_reader(tmp_path, monkeypatch, tau_10k, newline):
-    # the rows reach loadtxt as the file's bytes, undecoded, whatever the line ending
+    # the rows reach the reader as the file's bytes, which it decodes a block
+    # at a time, whatever the line ending
+    text = dumps_csv(tau_10k).replace("\n", newline)
     path = tmp_path / "tau.csv"
-    path.write_bytes(dumps_csv(tau_10k).replace("\n", newline).encode("ascii"))
-    one_pass, seen = datasets._loads_columns, []
-    monkeypatch.setattr(datasets, "_loads_columns", lambda body: seen.append(type(body)) or one_pass(body))
-
-    def no_per_row(lines):
-        raise AssertionError("the per-row loop ran")
-
-    monkeypatch.setattr(datasets, "_loads_rows", no_per_row)
-    assert outcome(read_csv, path) == outcome(lambda _: tau_10k, path)
+    path.write_bytes(text.encode("ascii"))
+    one_pass, seen = datasets._loads_rows, []
+    monkeypatch.setattr(datasets, "_loads_rows", lambda data, *rest: seen.append(type(data)) or one_pass(data, *rest))
+    assert outcome(read_csv, path) == oracle(text) == outcome(lambda _: tau_10k, path)
     assert seen == [bytes]
 
 
@@ -1368,10 +1361,9 @@ def test_reader_reports_the_model_error_at_its_line(rows):
     lines = rows.split("\n")
     data_lines = [n for n, line in enumerate(lines, start=2) if line]
     cells = [line.split(",") for line in lines if line]
-    p = [int(c[0]) for c in cells]
-    a = [complex(float(c[1]), float(c[2])) for c in cells]
+    p, re, im = ([float(c[i]) if i else int(c[i]) for c in cells] for i in range(3))
     with pytest.raises(DatasetError) as model:
-        Dataset(DatasetHeader("x", True, 10), Records(p, a))
+        Dataset(DatasetHeader("x", True, 10), Records(p, re, im))
     with pytest.raises(DatasetFormatError) as reader:
         loads_csv(f"# source=x,self_dual=true,X=10\n{rows}\n")
     assert str(reader.value) == f"line {data_lines[model.value.row]}: {model.value}"

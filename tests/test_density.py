@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from heckebound.errors import DatasetError, ParameterError
 
 def constant_records(value, n=1000):
     ps = first_n_primes(n)
-    return Records(ps, [complex(value)] * len(ps))
+    return Records(ps, [value] * len(ps))
 
 
 def test_truncated_sum_matches_naive():
@@ -32,7 +33,7 @@ def test_truncated_sum_matches_naive():
 
 
 def test_truncated_sum_rotation():
-    records = Records([2, 3, 5, 7], [0.7j] * 4)
+    records = Records([2, 3, 5, 7], [0.0] * 4, [0.7] * 4)
     # rotating by -pi/2 turns 0.7j into 0.7 on the real axis
     rotated = truncated_sum(records, 1, 1.3, phi=-math.pi / 2)
     plain = truncated_sum(Records([2, 3, 5, 7], [0.7] * 4), 1, 1.3)
@@ -73,7 +74,7 @@ def test_truncated_sum_overflow_raises_without_warning():
     ids=["2**63", "2**64", "10**400", "10**5000"],
 )
 def test_truncated_sum_exponent_past_int64_is_an_overflow(k, message):
-    # numpy takes such a k as a double; 10**400 overflows even that, and
+    # pow takes such a k as a double; 10**400 overflows even that, and
     # 10**5000 is past the 4300 digits str() converts
     with pytest.raises(ParameterError, match=f"^{message}$"):
         truncated_sum(constant_records(2.0, 10), k, 1.2)
@@ -222,7 +223,7 @@ def test_verify_t2_rotation():
     phi = math.pi / 3
     value = 0.8 * cmath.exp(-1j * phi)
     ps = first_n_primes(500)
-    records = Records(ps, [value] * len(ps))
+    records = Records(ps, [value.real] * len(ps), [value.imag] * len(ps))
     report = verify_theorem(records, "t2", phi=phi, self_dual=False)
     assert report.passed
     assert report.threshold == 0.5
@@ -283,9 +284,9 @@ def test_verify_counts_follow_the_written_out_one_sided_rules(theorem, entries, 
     bound = {"t1pos": positive_side, "t1neg": negative_side, "t2": lambda: non_self_dual(phi)}
     c = bound[theorem]().constant
     placed = {"c-eps": c - eps, "-c+eps": -c + eps}
-    a = [placed.get(e, e) for e in entries]
-    records = Records(first_n_primes(len(a)), a)
-    v = (np.array(a, dtype=complex) * cmath.exp(1j * phi)).real
+    a = [complex(placed.get(e, e)) for e in entries]
+    records = Records(first_n_primes(len(a)), [z.real for z in a], [z.imag for z in a])
+    v = [(z * cmath.exp(1j * phi)).real for z in a]
     report = verify_theorem(records, theorem, phi=phi, epsilon=eps)
     if theorem == "t1neg":
         assert report.count == sum(x < -c + eps for x in v)
@@ -296,13 +297,13 @@ def test_verify_counts_follow_the_written_out_one_sided_rules(theorem, entries, 
 
 
 # ---------------------------------------------------------------------------
-# blocked rotation and in-place powers
+# the rotation and the power sums against one-shot Python expressions
 
 
 def parent_rotated(records, phi):
-    # the one-shot rotation the blocked one replaced: a complex temporary the
-    # length of the records, of which the real part is kept
-    return (records.a * cmath.exp(1j * phi)).real
+    # the real part of each complex product, as Python's complex multiply gives it
+    turn = cmath.exp(1j * phi)
+    return array("d", [(complex(x, y) * turn).real for x, y in zip(records.a_re, records.a_im)])
 
 
 @pytest.fixture(scope="module")
@@ -311,9 +312,10 @@ def spanning_records():
     # phi = 0.0 and by phi = -0.0 turns differently
     n = 2 * CSV_BLOCK + 5
     rng = np.random.default_rng(26)
-    a = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
-    a[CSV_BLOCK - 2 : CSV_BLOCK + 2] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0]
-    return Records(first_n_primes(n), a)
+    re, im = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    re[CSV_BLOCK - 2 : CSV_BLOCK + 2] = [-0.0, 0.0, -0.0, 0.0]
+    im[CSV_BLOCK - 2 : CSV_BLOCK + 2] = [0.0, -0.0, -0.0, 0.0]
+    return Records(first_n_primes(n), re, im)
 
 
 PHIS = [0.0, -0.0, math.pi / 4, 1.9]
@@ -322,11 +324,10 @@ PHIS = [0.0, -0.0, math.pi / 4, 1.9]
 @pytest.mark.parametrize("phi", PHIS)
 @pytest.mark.parametrize("k", range(9))
 def test_truncated_sums_match_the_one_shot_power_to_the_bit(spanning_records, k, phi):
-    # vals **= k keeps the scalar-power dispatch of vals ** k (np.power(vals, k)
-    # may differ in the last bit), and dividing into the weights keeps each quotient
+    # each term is v ** k * p ** -s, added by math.fsum, which rounds once
     grid = [1.5, 1.3, 1.2, 1.1]
-    powers = parent_rotated(spanning_records, phi) ** k
-    want = [float(np.sum(powers / np.power(spanning_records.p, s, dtype=float))) for s in grid]
+    terms = list(zip(parent_rotated(spanning_records, phi), spanning_records.p))
+    want = [math.fsum(v ** k * p ** -s for v, p in terms) for s in grid]
     got = density._truncated_sums(spanning_records, k, grid, phi)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -342,6 +343,18 @@ def test_profile_and_verdict_match_the_one_shot_rotation_to_the_bit(monkeypatch,
     got = reports()
     monkeypatch.setattr(density, "_rotated", parent_rotated)
     assert got == reports()
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, math.pi / 4, math.pi, 4.0, -1.0])
+@pytest.mark.parametrize("im", [0.0, -0.0, 1e-300], ids=["plus-zero", "minus-zero", "tiny"])
+def test_rotation_of_real_records_matches_the_complex_product_to_the_bit(phi, im):
+    # a_re alone, or a_re cos(phi), where every a_im is +0.0 and sin(phi) >= +0.0;
+    # the full product elsewhere, as a -0.0 or a nonzero a_im, or sin(phi) < 0,
+    # turns a -0.0 real part into +0.0
+    re = [-0.0, 0.0, 1.5, -2.0, 5e-324, -1e300]
+    records = Records(first_n_primes(len(re)), re, [0.0] * (len(re) - 1) + [im])
+    want = parent_rotated(records, phi)
+    assert density._rotated(records, phi).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -374,27 +387,27 @@ def traced_peak(call):
 
 
 def test_probe_holds_one_float_column_and_one_weight_column(st_records):
-    # the rotated values and one weight array, 16 bytes a record, with about
-    # 25 at the peak; a complex rotation and a separate power array held 40
+    # the rotated values and their powers, 8 bytes a record each, with the
+    # weights streamed; a complex rotation and a separate power array held 40
     peak = traced_peak(lambda: pole_order_probe(st_records, 4, [1.5, 1.3, 1.2, 1.1]))
     assert peak < 32 * len(st_records)
 
 
 def test_verify_holds_no_complex_temporary(st_records):
-    # the rotated values and their signed copy peak near 24 bytes a record;
-    # the one-shot complex rotation reached 32
+    # the rotated values and the hits' indices peak near 10 bytes a record;
+    # a one-shot complex rotation reached 32
     peak = traced_peak(lambda: verify_theorem(st_records, "t2", phi=0.7))
     assert peak < 28 * len(st_records)
 
 
 @pytest.mark.parametrize("theorem, phi", [("t1pos", 0.0), ("t1neg", 0.0), ("t2", 1.9)])
 def test_verify_signs_the_rotated_values_in_place(st_records, theorem, phi):
-    # the rotated values, the mask and the witness candidates peak at 11 to 15
-    # bytes a record; a signed copy beside the values adds 8 more
+    # the rotated values and the hits' indices peak at 8 to 10 bytes a record;
+    # a signed copy beside the values adds 8 more
     peak = traced_peak(lambda: verify_theorem(st_records, theorem, phi=phi))
     assert peak < 16 * len(st_records)
     # the witnesses are the records' own rotated values, not the signed ones
-    vals = (st_records.a * cmath.exp(1j * phi)).real
+    vals = np.array(parent_rotated(st_records, phi))
     top = np.argsort(-THEOREMS[theorem][0] * vals, kind="stable")[:10]
-    want = tuple((int(st_records.p[i]), float(vals[i])) for i in top)
+    want = tuple((st_records.p[i], float(vals[i])) for i in top)
     assert repr(verify_theorem(st_records, theorem, phi=phi).witnesses) == repr(want)

@@ -19,6 +19,7 @@ from heckebound.poles import rs_pole_order
 from heckebound.repring import (
     MU,
     MU2,
+    PAIR_DEGREE_CAP,
     PI,
     Atom,
     VirtualRep,
@@ -91,6 +92,14 @@ def test_cg_pair_4_3_structure():
 def test_cg_pair_rejects_negative():
     with pytest.raises(AlgebraError, match="^cg_pair needs non-negative degrees$"):
         cg_pair(-1, 2)
+
+
+def test_cg_pair_takes_degrees_up_to_the_cap():
+    assert cg_pair(PAIR_DEGREE_CAP, PAIR_DEGREE_CAP).dim == (PAIR_DEGREE_CAP + 1) ** 2
+    for a, b in [(PAIR_DEGREE_CAP + 1, 0), (1, PAIR_DEGREE_CAP + 1)]:
+        message = f"^cg_pair supports degrees up to {PAIR_DEGREE_CAP}, got {a} and {b}$"
+        with pytest.raises(AlgebraError, match=message):
+            cg_pair(a, b)
 
 
 # ---------------------------------------------------------------------------
