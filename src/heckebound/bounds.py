@@ -2,9 +2,9 @@
 
 The positive-side constant comes from balancing two lower-bound branches
 over a split of the k=4 pole mass; the negative-side and non-self-dual
-constants come from a Hoelder contradiction whose worst case over the
-unknown upper densities sits at the corner (1, 1).  The corner is checked
-by an explicit grid scan rather than assumed.
+constants come from a Hoelder contradiction whose threshold
+(mass / (dB + dB^q dA^(1-q)))^(1/power) falls as either upper density rises,
+so its worst case over (dA, dB) in (0, 1]^2 is the corner (1, 1).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ DEFAULT_EPSILON = 0.01
 
 #: the largest pole orders whose arithmetic stays in doubles (pole4 enters d^5)
 MAX_POLE, MAX_POLE4 = sys.float_info.max, 10**61
-
-GRID_STEP = 1e-2
 
 
 #: a derived constant, the optimizer that attains it (None if there is none),
@@ -77,26 +75,18 @@ def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
     return BoundResult(constant, d_star, (up, down), trace)
 
 
-def _corner_scan(t_of_densities) -> tuple[float, float, float]:
-    """Minimum of the admissible threshold over (dA, dB) in (0,1]^2 on a
-    grid, returned with its location (the first in row order on ties);
-    raises if the minimum is not at the corner."""
-    grid = [GRID_STEP + i * GRID_STEP for i in range(round(1 / GRID_STEP))]
-    value, d_a, d_b = min((t_of_densities(d_a, d_b), d_a, d_b) for d_a in grid for d_b in grid)
-    if (d_a, d_b) != (1.0, 1.0):
-        raise ParameterError(f"worst-case density scan not at the corner: {(d_a, d_b)}")
-    return value, d_a, d_b
-
-
-def _holder_side(mass, power, q, constant, premise, result) -> BoundResult:
-    """Corner scan of the threshold t with mass - t^power dB <= dB^q t^power
-    dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power), beside the
-    closed-form `constant`; the trace puts the scanned corner between the
-    argument's `premise` and its `result`."""
-    q_a, root = 1 - q, 1 / power
-    scanned, d_a, d_b = _corner_scan(lambda a, b: (mass / (b + b ** q * a ** q_a)) ** root)
-    trace = f"{premise}; grid scan puts the worst case at (dA, dB) = ({d_a}, {d_b}), {result}"
-    return BoundResult(constant, 1.0, (scanned, constant), trace)
+def _corner_scan(mass, power, constant, premise, result) -> BoundResult:
+    """Least threshold t over (dA, dB) in (0,1]^2 with mass - t^power dB <=
+    dB^q t^power dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power),
+    beside the closed-form `constant`.  For q in (0, 1) the denominator rises
+    in dA and dB, so t is least at the corner (1, 1); the trace puts that step
+    between the argument's `premise` and its `result`."""
+    corner = (mass / 2.0) ** (1 / power)  # dB + dB^q dA^(1-q) = 2 at dA = dB = 1
+    trace = (
+        f"{premise}; dB + dB^q dA^(1-q) rises in dA and dB, so the worst case over "
+        f"(0, 1]^2 is the corner (dA, dB) = (1.0, 1.0), {result}"
+    )
+    return BoundResult(constant, 1.0, (corner, constant), trace)
 
 
 def negative_side(pole6_lower: int = POLE6) -> BoundResult:
@@ -115,7 +105,7 @@ def negative_side(pole6_lower: int = POLE6) -> BoundResult:
         "dB^(6/7) t^6 dA^(1/7)"
     )
     constant, result = (pole6_lower / 2) ** (1 / 6), f"giving t = ({pole6_lower}/2)^(1/6)"
-    return _holder_side(pole6_lower, 6, 6 / 7, constant, premise, result)
+    return _corner_scan(pole6_lower, 6, constant, premise, result)
 
 
 def positive_side_weak() -> BoundResult:
@@ -125,7 +115,7 @@ def positive_side_weak() -> BoundResult:
         "square sums carry one unit of pole mass; cubic sums are O(1); Hoelder "
         "with exponents (2/3, 1/3) forces 1 - t^2*dB <= dB^(2/3) t^2 dA^(1/3)"
     )
-    return _holder_side(1.0, 2, 2 / 3, 1 / math.sqrt(2), premise, "giving t = 1/sqrt(2)")
+    return _corner_scan(1.0, 2, 1 / math.sqrt(2), premise, "giving t = 1/sqrt(2)")
 
 
 def non_self_dual(phi: float) -> BoundResult:
@@ -139,4 +129,4 @@ def non_self_dual(phi: float) -> BoundResult:
         "without self-duality); cubic sums are o(log); Hoelder with exponents "
         "(2/3, 1/3) forces 1/2 - t^2*dB <= (t^3 dB)^(2/3) dA^(1/3)"
     )
-    return _holder_side(0.5, 2, 2 / 3, 0.5, premise, "where solving 1/2 - t^2 = t^2 gives t = 1/2")
+    return _corner_scan(0.5, 2, 0.5, premise, "where solving 1/2 - t^2 = t^2 gives t = 1/2")

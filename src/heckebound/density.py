@@ -34,9 +34,10 @@ def _require_records(records: Records) -> None:
         raise DatasetError("empty dataset")
 
 
-def _rotated(records: Records, phi: float) -> array:
+def _rotated(records: Records, phi: float) -> Sequence[float]:
     """Re(a_p e^{i phi}) = a_re cos(phi) - a_im sin(phi) over a non-empty dataset
-    and a finite phi, as a new float64 array."""
+    and a finite phi, as a new float64 array, or as the read-only a_re column
+    itself where the rotation changes no bit of it."""
     _require_records(records)
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}")
@@ -45,9 +46,7 @@ def _rotated(records: Records, phi: float) -> array:
         # every a_im is +0.0 (all its bits clear) and sin(phi) >= +0.0, as for every generated
         # file at phi in [0, pi], so subtracting a_im sin(phi) = +0.0 changes no bit
         if turn.real == 1.0:  # and a_re * 1.0 is a_re
-            vals = array("d")
-            vals.frombytes(records.a_re.cast("B"))
-            return vals
+            return records.a_re
         return array("d", map(operator.mul, records.a_re, itertools.repeat(turn.real)))
     cos, sin = itertools.repeat(turn.real), itertools.repeat(turn.imag)
     return array("d", map(operator.sub, map(operator.mul, records.a_re, cos), map(operator.mul, records.a_im, sin)))

@@ -1,9 +1,10 @@
 import math
-import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckebound.bounds import (
     _corner_scan,
@@ -124,37 +125,45 @@ def test_negative_side_scan_equals_the_closed_form_exactly(pole6):
     assert scanned == corner
 
 
-def test_negative_side_grid_scan_oracle():
-    # independent scan over a 100x100 density grid
-    grid = np.linspace(0.01, 1.0, 100)
-    d_a, d_b = np.meshgrid(grid, grid)
-    admissible = (5 / (d_b + d_b ** (6 / 7) * d_a ** (1 / 7))) ** (1 / 6)
-    assert admissible.min() == pytest.approx((5 / 2) ** (1 / 6), abs=1e-12)
-    i = np.unravel_index(np.argmin(admissible), admissible.shape)
-    assert (d_a[i], d_b[i]) == (1.0, 1.0)
+def threshold(mass, power, q, d_a, d_b):
+    # the Hoelder sides' admissible threshold at upper densities (dA, dB)
+    return (mass / (d_b + d_b ** q * d_a ** (1 - q))) ** (1 / power)
 
 
 @pytest.mark.parametrize(
-    "t_of_densities",
-    [
-        lambda a, b: (5 / (b + b ** (6 / 7) * a ** (1 / 7))) ** (1 / 6),
-        lambda a, b: (1.0 / (b + b ** (2 / 3) * a ** (1 / 3))) ** 0.5,
-        lambda a, b: 1 / (a * b),
-        lambda a, b: (a - 0.5) ** 2 + b,  # minimum off the corner
-        lambda a, b: 0 * a + 0 * b,  # ties everywhere: the first grid point
-    ],
+    "side, mass, power, q",
+    [(partial(negative_side, m), m, 6, 6 / 7) for m in (2, 5, 6, 25, 178)]
+    + [(positive_side_weak, 1.0, 2, 2 / 3), (partial(non_self_dual, 0.7), 0.5, 2, 2 / 3)],
+    ids=["neg-2", "neg-5", "neg-6", "neg-25", "neg-178", "weak", "nsd"],
 )
-def test_corner_scan_matches_array_argmin(t_of_densities):
-    # oracle: the same grid as a numpy array, first minimum in row order
-    grid = np.arange(0.01, 1.0 + 0.005, 0.01)
-    values = t_of_densities(grid[:, None], grid[None, :])
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    at = (float(grid[i]), float(grid[j]))
-    if at == (1.0, 1.0):
-        assert _corner_scan(t_of_densities) == (float(values[i, j]), 1.0, 1.0)
-    else:
-        with pytest.raises(ParameterError, match=re.escape(f"not at the corner: {at}")):
-            _corner_scan(t_of_densities)
+def test_holder_side_grid_scan_oracle(side, mass, power, q):
+    # independent scan over a 100x100 density grid: its minimum sits at the
+    # corner and is the value the side takes there
+    grid = np.linspace(0.01, 1.0, 100)
+    d_a, d_b = np.meshgrid(grid, grid)
+    admissible = threshold(mass, power, q, d_a, d_b)
+    i = np.unravel_index(np.argmin(admissible), admissible.shape)
+    assert (d_a[i], d_b[i]) == (1.0, 1.0)
+    assert admissible.min() == pytest.approx(side().branch_values[0], abs=1e-12)
+
+
+upper_density = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1e-6, 1e6),
+    st.sampled_from([2, 6]),
+    upper_density,
+    upper_density,
+)
+def test_threshold_is_least_at_the_corner(q, mass, power, d_a, d_b):
+    # dB + dB^q dA^(1-q) rises in both densities, so no point of (0, 1]^2
+    # lies below the corner, whose value the shared step gives to the bit
+    corner = threshold(mass, power, q, 1.0, 1.0)
+    assert _corner_scan(mass, power, 0.0, "", "").branch_values[0] == corner
+    assert threshold(mass, power, q, d_a, d_b) >= corner
 
 
 def test_negative_side_rejects_bad_input():
