@@ -75,18 +75,18 @@ def positive_side(pole4: int = POLE4, pole8: int = POLE8) -> BoundResult:
     return BoundResult(constant, d_star, (up, down), trace)
 
 
-def _corner_scan(mass, power, constant, premise, result) -> BoundResult:
+def _corner_scan(mass, power, premise, result) -> BoundResult:
     """Least threshold t over (dA, dB) in (0,1]^2 with mass - t^power dB <=
-    dB^q t^power dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power),
-    beside the closed-form `constant`.  For q in (0, 1) the denominator rises
-    in dA and dB, so t is least at the corner (1, 1); the trace puts that step
-    between the argument's `premise` and its `result`."""
-    corner = (mass / 2.0) ** (1 / power)  # dB + dB^q dA^(1-q) = 2 at dA = dB = 1
+    dB^q t^power dA^(1-q), i.e. t = (mass / (dB + dB^q dA^(1-q)))^(1/power).
+    For q in (0, 1) the denominator rises in dA and dB, so t is least at the
+    corner (1, 1) and is the constant and both branch values; the trace puts
+    that step between the argument's `premise` and its `result`."""
+    t = (mass / 2.0) ** (1 / power)  # dB + dB^q dA^(1-q) = 2 at dA = dB = 1
     trace = (
         f"{premise}; dB + dB^q dA^(1-q) rises in dA and dB, so the worst case over "
         f"(0, 1]^2 is the corner (dA, dB) = (1.0, 1.0), {result}"
     )
-    return BoundResult(constant, 1.0, (corner, constant), trace)
+    return BoundResult(t, 1.0, (t, t), trace)
 
 
 def negative_side(pole6_lower: int = POLE6) -> BoundResult:
@@ -104,8 +104,7 @@ def negative_side(pole6_lower: int = POLE6) -> BoundResult:
         f"with exponents (6/7, 1/7) forces {pole6_lower} - t^6*dB <= "
         "dB^(6/7) t^6 dA^(1/7)"
     )
-    constant, result = (pole6_lower / 2) ** (1 / 6), f"giving t = ({pole6_lower}/2)^(1/6)"
-    return _corner_scan(pole6_lower, 6, constant, premise, result)
+    return _corner_scan(pole6_lower, 6, premise, f"giving t = ({pole6_lower}/2)^(1/6)")
 
 
 def positive_side_weak() -> BoundResult:
@@ -115,7 +114,7 @@ def positive_side_weak() -> BoundResult:
         "square sums carry one unit of pole mass; cubic sums are O(1); Hoelder "
         "with exponents (2/3, 1/3) forces 1 - t^2*dB <= dB^(2/3) t^2 dA^(1/3)"
     )
-    return _corner_scan(1.0, 2, 1 / math.sqrt(2), premise, "giving t = 1/sqrt(2)")
+    return _corner_scan(1.0, 2, premise, "giving t = 1/sqrt(2)")
 
 
 def non_self_dual(phi: float) -> BoundResult:
@@ -129,4 +128,4 @@ def non_self_dual(phi: float) -> BoundResult:
         "without self-duality); cubic sums are o(log); Hoelder with exponents "
         "(2/3, 1/3) forces 1/2 - t^2*dB <= (t^3 dB)^(2/3) dA^(1/3)"
     )
-    return _corner_scan(0.5, 2, 0.5, premise, "where solving 1/2 - t^2 = t^2 gives t = 1/2")
+    return _corner_scan(0.5, 2, premise, "where solving 1/2 - t^2 = t^2 gives t = 1/2")

@@ -42,12 +42,10 @@ def _rotated(records: Records, phi: float) -> Sequence[float]:
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}")
     turn = cmath.exp(1j * phi)
-    if math.copysign(1.0, turn.imag) > 0 and not any(records.a_im.cast("B").cast("Q")):
-        # every a_im is +0.0 (all its bits clear) and sin(phi) >= +0.0, as for every generated
-        # file at phi in [0, pi], so subtracting a_im sin(phi) = +0.0 changes no bit
-        if turn.real == 1.0:  # and a_re * 1.0 is a_re
-            return records.a_re
-        return array("d", map(operator.mul, records.a_re, itertools.repeat(turn.real)))
+    if turn.real == 1.0 and math.copysign(1.0, turn.imag) > 0 and not any(records.a_im.cast("B").cast("Q")):
+        # a_re * 1.0 is a_re, and every a_im is +0.0 (all its bits clear) and sin(phi) >= +0.0,
+        # as for every generated file at phi = 0, so subtracting a_im sin(phi) = +0.0 changes no bit
+        return records.a_re
     cos, sin = itertools.repeat(turn.real), itertools.repeat(turn.imag)
     return array("d", map(operator.sub, map(operator.mul, records.a_re, cos), map(operator.mul, records.a_im, sin)))
 

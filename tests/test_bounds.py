@@ -113,16 +113,23 @@ def test_negative_side_monotonic():
 
 def test_negative_side_worst_case_at_corner():
     result = negative_side(5)
-    scanned, corner = result.branch_values
-    assert scanned == pytest.approx(corner, abs=1e-12)
+    assert result.constant == (5 / 2) ** (1 / 6)
     assert result.optimizer == 1.0
 
 
-@pytest.mark.parametrize("pole6", [5, 25, 29, 178])
-def test_negative_side_scan_equals_the_closed_form_exactly(pole6):
-    # both are (pole6/2)^(1/6) through one correctly rounded pow at the corner
-    scanned, corner = negative_side(pole6).branch_values
-    assert scanned == corner
+@pytest.mark.parametrize(
+    "side, closed_form",
+    [(partial(negative_side, m), (m / 2) ** (1 / 6)) for m in (5, 25, 29, 178)]
+    + [(positive_side_weak, math.sqrt(0.5)), (partial(non_self_dual, 0.7), 0.5)],
+    ids=["5", "25", "29", "178", "weak", "nsd"],
+)
+def test_negative_side_scan_equals_the_closed_form_exactly(side, closed_form):
+    # the corner step's one correctly rounded pow gives each Hoelder side's
+    # closed form to the bit: (pole6/2)^(1/6), the correctly rounded 1/sqrt(2)
+    # (which 1 / math.sqrt(2) misses by an ulp) and 1/2
+    result = side()
+    assert result.constant == closed_form
+    assert result.branch_values == (closed_form, closed_form)
 
 
 def threshold(mass, power, q, d_a, d_b):
@@ -162,7 +169,7 @@ def test_threshold_is_least_at_the_corner(q, mass, power, d_a, d_b):
     # dB + dB^q dA^(1-q) rises in both densities, so no point of (0, 1]^2
     # lies below the corner, whose value the shared step gives to the bit
     corner = threshold(mass, power, q, 1.0, 1.0)
-    assert _corner_scan(mass, power, 0.0, "", "").branch_values[0] == corner
+    assert _corner_scan(mass, power, "", "").constant == corner
     assert threshold(mass, power, q, d_a, d_b) >= corner
 
 

@@ -348,9 +348,10 @@ def test_profile_and_verdict_match_the_one_shot_rotation_to_the_bit(monkeypatch,
 @pytest.mark.parametrize("phi", [0.0, -0.0, math.pi / 4, math.pi, 4.0, -1.0])
 @pytest.mark.parametrize("im", [0.0, -0.0, 1e-300], ids=["plus-zero", "minus-zero", "tiny"])
 def test_rotation_of_real_records_matches_the_complex_product_to_the_bit(phi, im):
-    # a_re alone, or a_re cos(phi), where every a_im is +0.0 and sin(phi) >= +0.0;
-    # the full product elsewhere, as a -0.0 or a nonzero a_im, or sin(phi) < 0,
-    # turns a -0.0 real part into +0.0
+    # a_re alone at cos(phi) = 1.0 where every a_im is +0.0 and sin(phi) >= +0.0;
+    # the one product a_re cos(phi) - a_im sin(phi) elsewhere, which gives a_re
+    # cos(phi) to the bit at phi = pi/4 and pi over +0.0 imaginary parts; a -0.0
+    # or a nonzero a_im, or sin(phi) < 0, turns a -0.0 real part into +0.0
     re = [-0.0, 0.0, 1.5, -2.0, 5e-324, -1e300]
     records = Records(first_n_primes(len(re)), re, [0.0] * (len(re) - 1) + [im])
     want = parent_rotated(records, phi)
