@@ -85,12 +85,14 @@ def _cmd_bounds(args) -> int:
         args,
         {"side": args.side, **result._asdict()},
         f"constant: {result.constant:.10f}",
-        *([f"optimizer: {result.optimizer:.10f}"] if result.optimizer is not None else []),
+        f"optimizer: {result.optimizer:.10f}",
         f"trace: {result.trace}",
     )
 
 
 def _cmd_generate(args) -> int:
+    if args.out == "":
+        raise ParameterError("--out needs a path")
     from . import datasets
 
     if args.kind == "ec":
@@ -101,14 +103,14 @@ def _cmd_generate(args) -> int:
         dataset = datasets.tau_ap(args.x)
     else:
         dataset = datasets.sato_tate_sample(args.n, args.seed)
-    target = _out_target(args.out) if args.out else sys.stdout
-    if target is None:
+    fd = 1 if args.out is None else _out_target(args.out)
+    if fd is None:
         datasets.write_csv(args.out, dataset)
-    elif target is sys.stdout:
+    elif fd == 1 and sys.stdout is not None:
         sys.stdout.writelines(datasets.csv_chunks(dataset))
-    else:
+    else:  # another descriptor, or stdout closed at start-up, where the write fails with EBADF
         try:
-            with open(target, "w", encoding="utf-8", closefd=False) as out:
+            with open(fd, "w", encoding="utf-8", closefd=False) as out:
                 out.writelines(datasets.csv_chunks(dataset))
         except OSError as exc:  # a descriptor not open for writing: name the path, as open(path) would
             raise OSError(exc.errno, exc.strerror, args.out) from None
@@ -117,20 +119,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _out_target(path: str):
-    """sys.stdout if path names the file stdout is open on, else the number of
-    another descriptor open on it (stderr's, or N for a path whose last part is
-    N: /dev/fd/N, /proc/self/fd/N), else None.  Writing through the descriptor
-    keeps a shell's `>>`, which reopening path with mode "w" would truncate."""
-    name = os.path.basename(path)
-    filenos = [sys.stdout.fileno, sys.stderr.fileno]
-    if name.isascii() and name.isdigit() and len(name) < 10:  # fstat overflows past a C int
-        filenos.append(lambda: int(name))
-    for fileno in filenos:
+def _out_target(path: str) -> int | None:
+    """The number of a descriptor open on the file path names, else None: 1
+    (stdout), 2 (stderr), or N for a path whose last part reads as N
+    (/dev/fd/N, /proc/self/fd/N).  Writing through the descriptor keeps a
+    shell's `>>`, which reopening path with mode "w" would truncate."""
+    for fd in (1, 2, os.path.basename(path)):
         try:
-            if os.path.samestat(os.stat(path), os.fstat(fd := fileno())):
-                return sys.stdout if fileno == sys.stdout.fileno else fd
-        except (OSError, ValueError):  # no such path or descriptor, or a stream with none
+            if os.path.samestat(os.stat(path), os.fstat(int(fd))):
+                return int(fd)
+        except (OSError, OverflowError, ValueError):  # no such path or descriptor, or a last part not a number
             pass
     return None
 
@@ -194,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="Sym^A x Sym^B")
     target.add_argument("--atom", type=str, help="reduce one atom, e.g. 'Sym3(pi)*w^-1'")
     _add_type_flag(p)  # reduce_atom reads only the type
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
     p = subs.add_parser("poles", help="pole order of L(s, pi^(x k)) at s=1")
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_flag(p)
     p.add_argument("--self-dual", dest="self_dual", type=_bool_flag, default=True)
     p.add_argument("--omega-order", dest="omega_order", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_poles)
 
     p = subs.add_parser("bounds", help="derived one-sided constants")
@@ -211,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole8", type=int, default=bounds.POLE8)
     p.add_argument("--pole6", type=int, default=bounds.POLE6)
     p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = subs.add_parser("generate", help="emit an eigenvalue dataset as CSV")
@@ -229,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=list(bounds.THEOREMS), required=True)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=bounds.DEFAULT_EPSILON)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("probe", help="empirical pole-order slope estimate")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s-grid", dest="s_grid", default="1.5,1.3,1.2,1.1")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_probe)
 
+    for name in ("decompose", "poles", "bounds", "verify", "probe"):  # the subcommands that print through _emit
+        subs.choices[name].add_argument("--json", action="store_true")
     return parser
 
 

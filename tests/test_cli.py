@@ -20,6 +20,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+# the environment of a CLI process that imports this checkout's package
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -256,9 +260,7 @@ def test_symbolic_subcommands_leave_numpy_unloaded():
         "    run(argv + ['--json'])\n"
         "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=CLI_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\nFalse False\n"), proc.stderr
 
 
@@ -286,9 +288,7 @@ def test_refused_generate_and_probe_leave_numpy_unloaded(tmp_path):
         "    assert 'numpy' not in sys.modules, argv\n"
         "print('ok')\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=CLI_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
@@ -318,9 +318,7 @@ def test_read_calls_leave_numpy_unloaded(tmp_path):
         "        assert main(argv) == want, argv\n"
         "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=CLI_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
@@ -443,10 +441,8 @@ def test_generate_out_dev_stdout_appends_under_a_shell_append(tmp_path, capsys):
     path.write_bytes(b"keep\n")
     out = run(capsys, "generate", "--kind", "tau", "--x", "100")[1]
     argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", "/dev/stdout"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = f'{shlex.join(argv)} >> "$0"'
-    proc = subprocess.run(["sh", "-c", script, str(path)], env=env, capture_output=True, text=True)
+    proc = subprocess.run(["sh", "-c", script, str(path)], env=CLI_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "wrote 25 records to /dev/stdout\n")
     assert path.read_bytes() == b"keep\n" + out.encode("utf-8")
 
@@ -459,10 +455,8 @@ def test_generate_out_descriptor_appends_under_a_shell_append(tmp_path, capsys, 
     path.write_bytes(b"keep\n")
     csv = run(capsys, "generate", "--kind", "tau", "--x", "100")[1]
     argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", out]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = f'{shlex.join(argv)} {redirect} "$1"'
-    proc = subprocess.run(["sh", "-c", script, "sh", str(path)], env=env, capture_output=True, text=True)
+    proc = subprocess.run(["sh", "-c", script, "sh", str(path)], env=CLI_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # the note goes to stderr, which under 2>> is the file itself
     written = path.read_bytes() + proc.stderr.encode("utf-8")
@@ -475,13 +469,28 @@ def test_generate_out_read_only_descriptor_names_the_path(tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b"keep\n")
     argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100", "--out", "/dev/fd/0"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with path.open("rb") as stdin:
-        proc = subprocess.run(argv, stdin=stdin, env=env, capture_output=True, text=True)
+        proc = subprocess.run(argv, stdin=stdin, env=CLI_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: [Errno 9] Bad file descriptor: '/dev/fd/0'\n"
     assert path.read_bytes() == b"keep\n"
+
+
+@pytest.mark.parametrize("out", ["", "/dev/stdout"], ids=["stdout", "dev-stdout"])
+def test_generate_to_a_closed_stdout_exits_one(out):
+    # without --out the write to descriptor 1 fails with EBADF; /dev/stdout names no file
+    if out and not os.path.exists(out):
+        pytest.skip(f"needs {out}")
+    argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "100"]
+    script = f"{shlex.join(argv + (['--out', out] if out else []))} >&-"
+    proc = subprocess.run(["sh", "-c", script], env=CLI_ENV, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_generate_out_empty_exits_one(capsys):
+    code, out, err = run(capsys, "generate", "--kind", "tau", "--x", "100", "--out", "")
+    assert (code, out, err) == (1, "", "error: --out needs a path\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -41,6 +41,7 @@ from heckebound.datasets import (
 from heckebound.errors import DatasetError, DatasetFormatError, ParameterError
 
 from csv_oracle import oracle
+from eta import eta_quotient
 
 SRC = str(Path(datasets.__file__).resolve().parents[1])
 # the environment of a CLI process that imports this checkout's package
@@ -288,9 +289,12 @@ def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
 
 def test_batch_memory_stays_blocked(monkeypatch):
     # the bound is 4x ec_ap's peak with every prime sent to a stubbed sweep:
-    # the lists and columns ec_ap builds anyway; the batch's block tables and
-    # the sweeps of the primes they leave add about 2.5x that, one block of
-    # every prime about 16x
+    # the lists and columns ec_ap builds anyway.  The batched peak, about 3.9x
+    # that, is set not by the block tables but by the match arrays of a
+    # later-pass block that mixes small and large primes: the second pass's one
+    # block runs from p = 5 to 39761, and a small prime's few x values give
+    # many giant-baby matches (about 23,000, against 5,000 in a first-pass
+    # block of 512).  One block of every prime peaks at about 20x.
     def peak():
         tracemalloc.start()
         try:
@@ -312,6 +316,29 @@ def test_ec_11a1_known_traces(ec_11a1):
     assert raw[5] == 1
     assert raw[7] == -2
     assert raw[13] == 4
+
+
+def test_eta_quotient_oracle_has_the_known_traces():
+    series = eta_quotient({1: 2, 11: 2}, 13)  # 11a1
+    assert (series[5], series[7], series[13]) == (1, -2, 4)
+
+
+@pytest.mark.parametrize(
+    "curve, factors",
+    [
+        (CURVE_11A1, {1: 2, 11: 2}),  # 11a1
+        ((-1, 0), {4: 2, 8: 2}),  # 32a: y^2 = x^3 - x
+        ((0, 1), {6: 4}),  # 36a: y^2 = x^3 + 1
+        ((0, 16), {3: 2, 9: 2}),  # 27a: y^2 = x^3 + 16
+    ],
+    ids=["11a1", "32a", "36a", "27a"],
+)
+def test_ec_ap_matches_the_eta_quotient_up_to_the_cap(curve, factors):
+    # every good prime up to EC_X_CAP, where each point-counting route runs
+    data = ec_ap(*curve, EC_X_CAP)
+    series = eta_quotient(factors, EC_X_CAP)
+    assert len(data.records) > 9000
+    assert list(data.records.a_raw) == series[np.asarray(data.records.p)].tolist()
 
 
 @pytest.mark.parametrize(
