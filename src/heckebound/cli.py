@@ -35,8 +35,20 @@ def _emit(args, payload, *lines: str) -> int:
         import json  # here, so that text output starts without it
 
         lines = (json.dumps(payload),)
-    print("\n".join(lines))
+    _write(("\n".join(lines), "\n"))
     return 0
+
+
+def _write(chunks, fd: int = 1, path: str | None = None) -> None:
+    """Write text chunks to descriptor fd: 1 through sys.stdout, any other, or 1 when
+    stdout was closed at start-up (so EBADF), through open(fd); an OSError names path."""
+    if fd == 1 and sys.stdout is not None:
+        return sys.stdout.writelines(chunks)
+    try:
+        with open(fd, "w", encoding="utf-8", closefd=False) as out:
+            out.writelines(chunks)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _cmd_decompose(args) -> int:
@@ -106,14 +118,8 @@ def _cmd_generate(args) -> int:
     fd = 1 if args.out is None else _out_target(args.out)
     if fd is None:
         datasets.write_csv(args.out, dataset)
-    elif fd == 1 and sys.stdout is not None:
-        sys.stdout.writelines(datasets.csv_chunks(dataset))
-    else:  # another descriptor, or stdout closed at start-up, where the write fails with EBADF
-        try:
-            with open(fd, "w", encoding="utf-8", closefd=False) as out:
-                out.writelines(datasets.csv_chunks(dataset))
-        except OSError as exc:  # a descriptor not open for writing: name the path, as open(path) would
-            raise OSError(exc.errno, exc.strerror, args.out) from None
+    else:
+        _write(datasets.csv_chunks(dataset), fd, args.out)
     if args.out:
         print(f"wrote {len(dataset.records)} records to {args.out}", file=sys.stderr)
     return 0

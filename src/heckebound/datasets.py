@@ -51,17 +51,17 @@ SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
-class Records:
+class Records(namedtuple("Records", "p a_re a_im a_raw")):
     """Per-prime columns, one per CSV field, each copied into an array and held
     behind a read-only memoryview: p (int64, given as integers that fit it, at
     least 2, strictly increasing), a_re and a_im (float64, finite; a_im is zero
     where none is given) and a_raw (None, or a tuple of one exact int per prime,
-    since tau(p) exceeds int64 and the float mantissa).  The attributes cannot
-    be set.  A bad p or a is reported at its first row (`DatasetError.row`)."""
+    since tau(p) exceeds int64 and the float mantissa).  len() is the number of
+    primes.  A bad p or a is reported at its first row (`DatasetError.row`)."""
 
-    __slots__ = ("p", "a_re", "a_im", "a_raw")
+    __slots__ = ()
 
-    def __init__(self, p, a_re, a_im=None, a_raw=None):
+    def __new__(cls, p, a_re, a_im=None, a_raw=None):
         try:
             p = array("q", p)
         except (TypeError, OverflowError):
@@ -78,24 +78,12 @@ class Records:
             for row, x, y in zip(itertools.count(), a_re, a_im):
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise DatasetError(f"eigenvalue at p = {p[row]} is not finite", row=row)
-        if raw is not None and not all(isinstance(v, int) for v in raw):
+        if raw is not None and not all(type(v) is int for v in raw):
             raise DatasetError("raw eigenvalues must be exact integers")
-        for name, value in (("p", p), ("a_re", a_re), ("a_im", a_im)):
-            object.__setattr__(self, name, memoryview(value).toreadonly())
-        object.__setattr__(self, "a_raw", raw)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Records is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        return super().__new__(cls, *(memoryview(c).toreadonly() for c in (p, a_re, a_im)), raw)
 
     def __len__(self) -> int:
         return len(self.p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Records):
-            return NotImplemented
-        return (self.p, self.a_re, self.a_im, self.a_raw) == (other.p, other.a_re, other.a_im, other.a_raw)
 
 
 class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):

@@ -488,6 +488,26 @@ def test_generate_to_a_closed_stdout_exits_one(out):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poles", "--k", "8"],
+        ["bounds", "--side", "neg"],
+        ["decompose", "--k", "2"],
+        ["verify", "--input", "{csv}", "--theorem", "t1pos"],
+        ["probe", "--input", "{csv}", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_printing_to_a_closed_stdout_exits_one(tmp_path, argv):
+    # sys.stdout is None, where print drops the text silently; the write to descriptor 1 must fail with EBADF
+    path = tmp_path / "tau.csv"
+    datasets.write_csv(path, datasets.tau_ap(100))
+    argv = [sys.executable, "-m", "heckebound.cli", *(arg.format(csv=path) for arg in argv)]
+    proc = subprocess.run(["sh", "-c", f"{shlex.join(argv)} >&-"], env=CLI_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 9] Bad file descriptor\n")
+
+
 def test_generate_out_empty_exits_one(capsys):
     code, out, err = run(capsys, "generate", "--kind", "tau", "--x", "100", "--out", "")
     assert (code, out, err) == (1, "", "error: --out needs a path\n")

@@ -37,13 +37,14 @@ FIELDS = {
     ),
     DatasetHeader: (DatasetHeader("x", True, 10), ("source", "self_dual", "X")),
     Dataset: (Dataset(DatasetHeader("x", True, 10), RECORDS), ("header", "records")),
+    Records: (RECORDS, ("p", "a_re", "a_im", "a_raw")),
 }
-VALUES = [value for value, _ in FIELDS.values()] + [RECORDS]
+VALUES = [value for value, _ in FIELDS.values()]
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_assignment_is_refused(value):
-    names = getattr(type(value), "_fields", ("p", "a_re", "a_im", "a_raw"))
+    names = type(value)._fields
     for name in names + ("extra",):  # a new name too: no instance __dict__
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -89,6 +90,7 @@ def test_field_order_is_fixed(kind):
         ),
         (lambda: Records([2, 3], [0.1, math.inf]), DatasetError, "eigenvalue at p = 3 is not finite", 1),
         (lambda: Records([2, 3], [0.1, 0.2], a_raw=[1, 2.5]), DatasetError, "raw eigenvalues must be exact integers", None),
+        (lambda: Records([2, 3], [0.1, 0.2], a_raw=[1, True]), DatasetError, "raw eigenvalues must be exact integers", None),
         (
             lambda: Dataset(DatasetHeader("x", True, 10), Records([2, 11, 13], [0.1, 0.2, 0.3])),
             DatasetError,
@@ -99,7 +101,7 @@ def test_field_order_is_fixed(kind):
     ids=[
         "omega-order-0", "self-dual-omega-2", "non-self-dual-omega-1", "opaque-with-degree",
         "negative-degree", "unknown-label", "unknown-aux", "negative-header-x", "unsorted",
-        "non-finite", "non-integer-raw", "prime-above-header-x",
+        "non-finite", "non-integer-raw", "bool-raw", "prime-above-header-x",
     ],
 )
 def test_invalid_construction_is_refused(build, error, message, row):
