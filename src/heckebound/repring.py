@@ -216,10 +216,11 @@ def reduce_rep(v: VirtualRep, t: TypeAssumption) -> VirtualRep:
 
 
 # ---------------------------------------------------------------------------
-# Textual syntax: Sym3(pi)*w^-1*mu^2, w^2, opaque:pi_chi, pi, 1
-
-_SYM_RE = re.compile(r"Sym(\d+)\(pi\)$")
-_FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+# Textual syntax: Sym3(pi)*w^-1*mu^2, w^2, opaque:pi_chi, pi, 1.  Digits are ASCII,
+# at most 18 to an integer, so no sum of w powers nears int's 4,300-digit str() limit.
+_FACTOR_RE = re.compile(
+    r"Sym(\d{1,18})\(pi\)|pi|opaque:(.*)|([A-Za-z]\w*)(?:\^(-?\d{1,18}))?", re.ASCII | re.DOTALL
+)
 
 
 def _render(a: Atom, opaque_prefix: str, sym_format: str, sep: str) -> str:
@@ -260,26 +261,22 @@ def parse_atom(text: str) -> Atom:
     degree, label = None, ""  # until the one Sym or opaque factor is read
     omega = 0
     aux: list[tuple[str, int]] = []
-    for factor in text.split("*"):
-        factor = factor.strip()
-        m = _SYM_RE.match(factor)
-        if m or factor == "pi" or factor.startswith("opaque:"):
-            if degree is not None or label:
-                raise AlgebraError(f"more than one base object in {text!r}")
-            if factor.startswith("opaque:"):
-                label = factor[len("opaque:"):]
-                opaque_dual(label)  # Atom reads an empty label as none
-            else:
-                degree = int(m.group(1)) if m else 1
-            continue
-        m = _FACTOR_RE.match(factor)
+    for factor in map(str.strip, text.split("*")):
+        m = _FACTOR_RE.fullmatch(factor)
         if not m:
             raise AlgebraError(f"cannot parse atom factor {factor!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
+        k, opaque_label, name, exp = m.groups()
         if name == "w":
-            omega += exp
+            omega += int(exp or 1)
+        elif name:
+            aux.append((name, int(exp or 1)))
+        elif degree is not None or label:  # a second Sym<k>(pi), pi or opaque:<label>
+            raise AlgebraError(f"more than one base object in {text!r}")
+        elif opaque_label is None:
+            degree = int(k or 1)
         else:
-            aux.append((name, exp))
+            label = opaque_label
+            opaque_dual(label)  # Atom reads an empty label as none
     if degree == 0:
         raise AlgebraError("SymPow atoms need sym_degree >= 1")
     return Atom(degree or 0, omega, tuple(aux), label)

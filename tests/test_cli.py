@@ -327,6 +327,17 @@ def test_decompose_pair_past_the_cap_exits_one(capsys):
     assert (code, out, err) == (1, "", "error: cg_pair supports degrees up to 1000, got 1001 and 1001\n")
 
 
+# an exponent past int's 4,300-digit str() limit, and two at it whose sum passes it
+LONG_ATOMS = ["pi*w^" + "9" * 4301, "Sym3(pi)*w^" + "9" * 4300 + "*w^" + "9" * 4300]
+
+
+@pytest.mark.parametrize("atom", LONG_ATOMS, ids=["4301-digit", "two-4300-digit"])
+def test_decompose_long_integer_atom_exits_one(capsys, atom):
+    code, out, err = run(capsys, "decompose", "--atom", atom)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over drawn argv
 
@@ -335,7 +346,10 @@ def test_decompose_pair_past_the_cap_exits_one(capsys):
 EDGE_NUMBERS = ["nan", "inf", "1e309", "1_0", "\u0661\u0660", str(2**64), "12345678901234567890", "", "0.5"]
 NUMBER = st.one_of(st.integers(-3, 200).map(str), st.sampled_from(EDGE_NUMBERS))
 ATOM = st.one_of(
-    st.sampled_from(["pi", "Sym2(pi)", "Sym4(pi)*w^-1", "Sym3(pi)*mu", "pi_chi", "nu*Sym3(pi)*pi", "w^2", "Sym(pi)"]),
+    st.sampled_from(
+        ["pi", "Sym2(pi)", "Sym4(pi)*w^-1", "Sym3(pi)*mu", "pi_chi", "nu*Sym3(pi)*pi", "w^2", "Sym(pi)", "Sym\u0663(pi)"]
+        + LONG_ATOMS
+    ),
     st.text("Sym()pi*w^-_0123456789", max_size=12),
 )
 TYPE = st.sampled_from(["general", "tetrahedral", "octahedral", "dihedral", "cubic"])

@@ -193,8 +193,10 @@ assumptions = st.sampled_from(
 )
 
 
-@given(atoms)
-def test_atom_text_round_trip_generated(a):
+# w up to the 18-digit bound of the atom grammar, so renderer and parser agree there
+@given(bases, st.integers(-(10**18 - 1), 10**18 - 1), st.integers(-5, 5))
+def test_atom_text_round_trip_generated(base, w, e):
+    a = base.twist(w, (("mu", e),))
     assert parse_atom(atom_text(a)) == a
 
 
@@ -450,6 +452,10 @@ def test_parse_rejects_two_bases():
         ("opaque:*w", "unknown opaque cuspidal label ''"),
         # Atom checks the aux names once the factors are read
         ("nu*Sym3(pi)*pi", "more than one base object in 'nu*Sym3(pi)*pi'"),
+        # digits are ASCII, and an integer has at most 18 of them
+        ("Sym\u0663(pi)", "cannot parse atom factor 'Sym\u0663(pi)'"),
+        ("pi*w^\u0662", "cannot parse atom factor 'w^\u0662'"),
+        ("pi*w^" + "9" * 19, f"cannot parse atom factor 'w^{'9' * 19}'"),
     ],
 )
 def test_parse_atom_refusal_message(text, message):
