@@ -44,7 +44,7 @@ MAX_P = 1_299_709  # the ST_N_CAP-th prime, the largest p any generator emits
 # (c4, c6) = (496, 20008); good away from 2, 3, 11.
 CURVE_11A1 = (-13392, -1080432)
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
-CSV_BLOCK = 8192  # rows formatted at a time, so no per-row list spans the file
+CSV_BLOCK = 2048  # rows formatted at a time, so no per-row list spans the file
 READ_BYTES = 1 << 16  # bytes of rows decoded at a time, so no list of lines spans the file
 EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay small
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
@@ -68,7 +68,12 @@ class Records(namedtuple("Records", "p a_re a_im a_raw")):
             raise DatasetError("primes must be exact integers within int64") from None
         a_re = array("d", a_re)
         a_im = array("d", [0.0]) * len(a_re) if a_im is None else array("d", a_im)
-        raw = None if a_raw is None else tuple(a_raw)
+        return cls._adopt(p, a_re, a_im, None if a_raw is None else tuple(a_raw))
+
+    @classmethod
+    def _adopt(cls, p, a_re, a_im, raw):
+        """Records over the arrays p ("q"), a_re and a_im ("d") and raw (None or a
+        tuple), held as given: only a builder that drops them may pass them."""
         if not len(p) == len(a_re) == len(a_im) or (raw is not None and len(raw) != len(p)):
             raise DatasetError("record columns must be of equal length")
         row = next(itertools.compress(itertools.count(), map(operator.ge, itertools.chain((1,), p), p)), None)
@@ -136,7 +141,10 @@ def _first_primes(n: int) -> array:
 
     # Rosser-Schoenfeld: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices (+1 for rounding)
     bound = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
-    return array("q", np.flatnonzero(np.frombuffer(_sieve(bound), dtype=np.uint8))[:n].astype(np.int64).tobytes())
+    primes = np.flatnonzero(np.frombuffer(_sieve(bound), dtype=np.uint8))[:n]  # the sieve is gone before ps
+    ps = array("q", [0]) * n
+    np.frombuffer(ps, dtype=np.int64)[:] = primes  # the one copy of numpy's indices
+    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +396,13 @@ def sato_tate_sample(n: int, seed: int) -> Dataset:
     ps = _first_primes(n)
     import numpy as np
 
-    a, key, golden = array("d"), np.uint64(seed % SEED_MODULUS), np.uint64(_GOLDEN)
+    a, key, golden = array("d", [0.0]) * n, np.uint64(seed % SEED_MODULUS), np.uint64(_GOLDEN)
+    column = np.frombuffer(a, dtype=np.float64)  # each block is written into a in place
     for i in range(0, n, CSV_BLOCK):  # elementwise, so a block's temporaries are all it holds
         bits = _mix64(key + np.arange(i + 1, min(i + CSV_BLOCK, n) + 1, dtype=np.uint64) * golden)
-        a.frombytes((2.0 * np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53))).tobytes())
-    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), Records(ps, a))
+        np.multiply(np.cos(_sato_tate_angle((bits >> 11) * 2.0**-53)), 2.0, out=column[i : i + CSV_BLOCK])
+    records = Records._adopt(ps, a, array("d", [0.0]) * n, None)
+    return Dataset(DatasetHeader(f"sato-tate[n={n};seed={seed}]", True, ps[-1]), records)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +500,7 @@ def _loads_rows(data: bytes, start: int, strict: bool):
             p.append(q)
             a_re.append(x)
             a_im.append(y)
-    return p, a_re, a_im, raws if width == 4 else None, blank
+    return p, a_re, a_im, tuple(raws) if width == 4 else None, blank
 
 
 def _text(data: bytes) -> str:
@@ -548,7 +558,7 @@ def _load(read) -> Dataset:
         composite = next(itertools.filterfalse(sieve.__getitem__, p), None)
         if composite is not None:  # its first row, for a composite met before is met first
             raise DatasetError(f"p = {composite} is not prime", row=p.index(composite))
-        return Dataset(header, Records(p, a_re, a_im, raw))
+        return Dataset(header, Records._adopt(p, a_re, a_im, raw))
     except DatasetError as exc:  # each fault names its row, and the blank lines before it move its line
         line = exc.row + 2
         for b in blank:  # in order, so each one at or before the line moves it down one

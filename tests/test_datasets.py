@@ -558,7 +558,7 @@ def one_shot_sample(n, seed):
     return 2.0 * np.cos(datasets._sato_tate_angle((bits >> 11) * 2.0**-53))
 
 
-@pytest.mark.parametrize("block", [CSV_BLOCK, 100])
+@pytest.mark.parametrize("block", [CSV_BLOCK, 100, 4 * CSV_BLOCK])  # the last one block for every n
 @pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 60])
 def test_blocked_sampler_matches_the_one_shot_expression(monkeypatch, block, seed):
     monkeypatch.setattr(datasets, "CSV_BLOCK", block)
@@ -569,8 +569,9 @@ def test_blocked_sampler_matches_the_one_shot_expression(monkeypatch, block, see
 
 
 def test_sampler_memory_is_its_columns_and_one_block():
-    # p, a and the sieve's primes peak near 40 bytes a prime; full-length
-    # temporaries of the mix and the Newton steps took it past 70
+    # the sieve with its primes, then p, a_re and a_im, each built once, peak
+    # near 28 bytes a prime; copying p and a into the records took it to 41,
+    # and full-length temporaries of the mix and the Newton steps past 70
     n = 10**5
     sato_tate_sample(n, 1)  # lazy imports and caches come before the count
     tracemalloc.start()
@@ -579,7 +580,7 @@ def test_sampler_memory_is_its_columns_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 55 * n
+    assert peak < 32 * n
 
 
 def test_sato_tate_angle_solves_the_cdf():
@@ -682,8 +683,13 @@ def block_records(n, raw=False):
     return Records(first_n_primes(n), re, im, rng.integers(-(10**6), 10**6, n).tolist() if raw else None)
 
 
+# n at and around the end of the first block and of the fourth, and whole runs of 3 and 12 blocks
 @pytest.mark.parametrize("raw", [False, True], ids=["3-columns", "4-columns"])
-@pytest.mark.parametrize("n", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK])
+@pytest.mark.parametrize(
+    "n",
+    [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK]
+    + [4 * CSV_BLOCK - 1, 4 * CSV_BLOCK, 4 * CSV_BLOCK + 1, 12 * CSV_BLOCK],
+)
 def test_write_csv_writes_the_dumps_csv_bytes(tmp_path, n, raw):
     records = block_records(n, raw)
     data = Dataset(DatasetHeader("blocks", False, int(records.p[-1])), records)
@@ -908,8 +914,9 @@ def test_every_source_the_writer_takes_reads_back(tmp_path_factory, source):
 
 
 def test_sampler_and_reader_columns_hold_no_larger_array(tmp_path, st_100k):
-    # neither the sieve's primes nor the reader's growing columns outlive the
-    # columns copied from them: each view spans the whole of its array
+    # the records hold the arrays the sampler and the reader built, not a view of
+    # numpy's longer sieve indices: each view spans the whole of its array, though
+    # the reader's keep the spare room of their appends, up to a sixteenth more
     path = tmp_path / "st.csv"
     write_csv(path, st_100k)
     for records in (st_100k.records, read_csv(path).records):
@@ -932,6 +939,20 @@ def test_write_csv_memory_is_one_block(tmp_path):
 
     peak(1)  # lazy imports and caches come before the count
     assert peak(16) <= 1.5 * peak(4)
+
+
+def test_write_csv_of_the_sample_peaks_below_a_small_block(tmp_path, st_100k):
+    # the 10^5-row file's writer peaks near 0.39 MB with blocks of 2,048 rows;
+    # blocks of 8,192 took it to 1.5 MB
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)  # lazy imports and caches come before the count
+    tracemalloc.start()
+    try:
+        write_csv(path, st_100k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
 
 
 def outcome(load, text):

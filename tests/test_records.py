@@ -4,6 +4,7 @@ order, which `bounds --json` and `verify --json` print, is fixed."""
 
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -144,8 +145,10 @@ def _read_only(column):
         lambda: (np.array([2, 3, 5, 7]), np.array([0.5, -0.5, 1.0, 0.0]), np.zeros(4)),
         lambda: (np.array([2, 3, 5, 7], dtype=np.int32), np.array([0.5, -0.5, 1.0, 0.0], dtype=np.float32), [0, 0, 1, 0]),
         lambda: tuple(_read_only(np.array(c))[:] for c in ([2, 3, 5, 7], [0.5, -0.5, 1.0, 0.0], [0.5, 0.0, 0.0, 0.0])),
+        # the column types the reader and the sampler hand over uncopied: a caller's are copied
+        lambda: (array("q", [2, 3, 5, 7]), array("d", [0.5, -0.5, 1.0, 0.0]), array("d", [0.0, 0.5, 0.0, 0.0])),
     ],
-    ids=["lists", "views", "writable-arrays", "other-dtypes", "read-only-views"],
+    ids=["lists", "views", "writable-arrays", "other-dtypes", "read-only-views", "stdlib-arrays"],
 )
 def test_records_copy_what_they_do_not_own(given):
     # whatever holds the values, each column is a new array behind a read-only view
