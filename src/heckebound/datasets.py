@@ -87,6 +87,10 @@ class Records(namedtuple("Records", "p a_re a_im a_raw")):
             raise DatasetError("raw eigenvalues must be exact integers")
         return super().__new__(cls, *(memoryview(c).toreadonly() for c in (p, a_re, a_im)), raw)
 
+    @classmethod
+    def _make(cls, columns):  # namedtuple's own compares len(), the number of primes, with 4; _replace calls it
+        return cls(*columns)
+
     def __len__(self) -> int:
         return len(self.p)
 
@@ -157,12 +161,18 @@ def _ec_trace(A: int, B: int, p: int) -> int:
     that _ec_trace_batch leaves undecided, and its test oracle."""
     import numpy as np
 
-    xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[(xs * xs) % p] = 1
-    chi[0] = 0
-    f = (xs * xs % p * xs + (A % p) * xs + B % p) % p
-    return -int(chi[f].sum())
+    xs, square = np.arange(p, dtype=np.int64), np.zeros(p, dtype=bool)
+    f = xs * xs  # x^2, then in place x(x^2 + A) + B = f(x), each mod p
+    f %= p
+    square[f] = True
+    square[0] = False
+    f += A % p
+    f *= xs
+    del xs
+    f += B % p
+    f %= p
+    # sum chi(f) = #(f a nonzero square) - #(f a non-square) = 2 #(f a nonzero square) - #(f != 0)
+    return int(np.count_nonzero(f)) - 2 * int(np.count_nonzero(square[f]))
 
 
 def _proj_add(P, Q, p):
@@ -254,7 +264,9 @@ def _ec_trace_batch(A: int, B: int, ps, point: int):
     # G_k = jP gives N = m_k - j and G_k = -jP gives m_k + j, one sign unless y = 0
     (bx, gx), (by, gy) = ((c[:s], c[s:]) for c in steps[:2])
     bad |= (by == 0).any(axis=0)
-    k, j, i = np.nonzero(gx[:, None] == bx)
+    match = gx[:, None] == bx
+    match[..., bad] = False  # never decided; after a step at O every x is 0, so each giant would match each baby
+    k, j, i = np.nonzero(match)
     same = gy[k, i] == by[j, i]
     N = j + 1  # built in place, as the matches can be many where small primes share a block with large
     np.negative(N, out=N, where=same)
@@ -288,14 +300,16 @@ def ec_ap(A: int, B: int, X: int) -> Dataset:
     skipped, good = [], []
     for p in primes_up_to(X):
         (good if (2 * disc) % p else skipped).append(p)
-    pending, found = np.array(good, dtype=np.int64), {}
+    ps = np.array(good, dtype=np.int64)
+    raw, undecided = np.zeros_like(ps), np.ones(len(ps), dtype=bool)  # indexed like good
     for point in range(4):  # the primes each point leaves get the next one
+        pending = np.flatnonzero(undecided)
         for i in range(0, len(pending), EC_BLOCK):
             block = pending[i : i + EC_BLOCK]
-            ap, decided = _ec_trace_batch(A, B, block, point)
-            found.update(zip(block[decided].tolist(), ap[decided].tolist()))
-        pending = np.array([p for p in pending.tolist() if p not in found], dtype=np.int64)
-    raw = [found[p] if p in found else _ec_trace(A, B, p) for p in good]
+            ap, decided = _ec_trace_batch(A, B, ps[block], point)
+            raw[block[decided]] = ap[decided]
+            undecided[block[decided]] = False
+    raw = [_ec_trace(A, B, p) if left else ap for p, ap, left in zip(good, raw.tolist(), undecided.tolist())]
     a = [ap / math.sqrt(p) for p, ap in zip(good, raw)]
     source = f"ec[a={A};b={B};skipped={';'.join(map(str, skipped))}]"
     return Dataset(DatasetHeader(source, True, X), Records(good, a, a_raw=raw))

@@ -288,13 +288,13 @@ def test_bsgs_sweeps_only_where_the_points_run_out(monkeypatch):
 
 
 def test_batch_memory_stays_blocked(monkeypatch):
-    # the bound is 4x ec_ap's peak with every prime sent to a stubbed sweep:
-    # the lists and columns ec_ap builds anyway.  The batched peak, about 3.9x
-    # that, is set not by the block tables but by the match arrays of a
-    # later-pass block that mixes small and large primes: the second pass's one
-    # block runs from p = 5 to 39761, and a small prime's few x values give
-    # many giant-baby matches (about 23,000, against 5,000 in a first-pass
-    # block of 512).  One block of every prime peaks at about 20x.
+    # the bound is 3x ec_ap's peak with every prime sent to a stubbed sweep:
+    # the lists and columns ec_ap builds anyway.  The batched peak, about 2.4x
+    # that, is set by a block's step tables and its match arrays.  A bad prime
+    # (a chain step at O) has every step at x = 0 once inverted, so in the match
+    # each of its giant steps would meet each baby step: about 23,000 matches in
+    # the second pass's one block (p = 5 to 39761), a peak of 3.9x.  One block
+    # of every prime peaks at about 16x.
     def peak():
         tracemalloc.start()
         try:
@@ -308,7 +308,19 @@ def test_batch_memory_stays_blocked(monkeypatch):
     undecided = lambda A, B, ps, point: (ps, np.zeros(len(ps), dtype=bool))
     monkeypatch.setattr(datasets, "_ec_trace_batch", undecided)
     monkeypatch.setattr(datasets, "_ec_trace", lambda A, B, p: 0)
-    assert batched < 4 * peak()
+    assert batched < 3 * peak()
+
+
+def test_sweep_memory_stays_under_20_bytes_per_x():
+    # f(x) is built in place in one int64 array beside x and a one-byte table
+    # of squares, 17 bytes per x
+    datasets._ec_trace(*CURVE_11A1, 101)  # the lazy import comes before the count
+    tracemalloc.start()
+    try:
+        datasets._ec_trace(*CURVE_11A1, 39_989)
+        assert tracemalloc.get_traced_memory()[1] < 20 * 39_989
+    finally:
+        tracemalloc.stop()
 
 
 def test_ec_11a1_known_traces(ec_11a1):
@@ -661,8 +673,18 @@ def test_dumps_csv_row_blocks_keep_the_bytes(monkeypatch, st_100k, tau_10k):
             ["--kind", "ec", "--x", "40000"],
             "530cfbc63f3198df8aa2a0e43bfa6801f9484faa9ef7a4248465f5442a238082",
         ),
+        (
+            lambda: ec_ap(*CURVE_11A1, 100_000),
+            ["--kind", "ec", "--x", "100000"],
+            "cea8361266b99e690125fabf2fd94db321b95d1288d08beeec376febb0ca6849",
+        ),
+        (
+            lambda: ec_ap(-1, 0, 100_000),
+            ["--kind", "ec", "--a", "-1", "--b", "0", "--x", "100000"],
+            "ab6369ebfcc41b7264a331be2f91e98ca2e0150469154be1b3a7eea99d3a9492",
+        ),
     ],
-    ids=["sato-tate", "tau", "ec-11a1"],
+    ids=["sato-tate", "tau", "ec-11a1", "ec-11a1-cap", "ec-cm-cap"],
 )
 def test_generated_bytes_are_pinned(tmp_path, build, argv, digest):
     # the digests were taken before the writer streamed blocks, so a sampler,

@@ -168,6 +168,17 @@ def test_records_copy_what_they_do_not_own(given):
         records.a_re[0] = 5.0
 
 
+def test_records_replace_and_make_build_through_the_checks():
+    # len() counts primes, not fields, so namedtuple's own _make, which compares
+    # len() with 4, cannot serve: both build through Records(...) and its checks
+    two = Records([2, 3], [0.5, 0.5])._replace(a_re=[0.1, 0.2])
+    assert two == Records([2, 3], [0.1, 0.2]) and two.a_re.readonly
+    with pytest.raises(DatasetError, match="eigenvalue at p = 5 is not finite"):
+        RECORDS._replace(a_re=[0.5, 0.5, math.nan, 0.5])
+    with pytest.raises(DatasetError, match="sorted strictly increasing"):
+        Records._make([[7, 5, 3, 2], RECORDS.a_re, RECORDS.a_im, None])
+
+
 def test_replacing_a_note_keeps_the_certificate_type():
     cert = tensor_power_pole(5, GENERAL_SELF_DUAL)
     assert type(cert) is PoleCertificate and cert.note.startswith("k=5:")
