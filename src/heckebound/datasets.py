@@ -16,9 +16,9 @@ p,a_re,a_im[,a_raw] rows: every p a prime <= MAX_P, every a finite, a_raw an
 exact integer on every row or on none, all ASCII without `_`.  Other header
 keys are ignored, except that a normalization other than `unitary` is rejected.
 read_csv and loads_csv share one reader over UTF-8 bytes, its lines ended at a
-newline alone (text mode folds '\r\n' and '\r'): a per-row loop that names the
-line of a fault it parses, then one check of primality and the model's rules on
-its columns.
+newline alone (text mode folds '\r\n' and '\r'): a per-row loop that parses each
+row, then one check of primality and the model's rules on its columns; a fault
+at any row is named at its line.
 """
 
 from __future__ import annotations
@@ -268,15 +268,12 @@ def _ec_trace_batch(A: int, B: int, ps, point: int):
     match[..., bad] = False  # never decided; after a step at O every x is 0, so each giant would match each baby
     k, j, i = np.nonzero(match)
     same = gy[k, i] == by[j, i]
-    N = j + 1  # built in place, as the matches can be many where small primes share a block with large
-    np.negative(N, out=N, where=same)
-    N += k * (2 * s + 1)
-    N += m[i]
+    N = m[i] + k * (2 * s + 1) + np.where(same, -(j + 1), j + 1)
     inside = (lo[i] <= N) & (N <= hi[i])
     count = np.bincount(i[inside], minlength=n)
     total = np.bincount(i[inside], weights=N[inside], minlength=n).astype(np.int64)
     square = np.array([pow(v, q // 2, q) == 1 for v, q in zip(f.tolist(), qs)])
-    return ps + 1 - np.where(square, total, 2 * ps + 2 - total), ~bad & (count == 1)
+    return ps + 1 - np.where(square, total, 2 * ps + 2 - total), count == 1
 
 
 def ec_ap(A: int, B: int, X: int) -> Dataset:
@@ -474,15 +471,14 @@ def loads_csv(text: str) -> Dataset:
     return _load(lambda: text.encode("utf-8", "surrogatepass"))
 
 
-def _loads_rows(data: bytes, start: int, strict: bool):
-    """The lines of data from offset start on, line 2 first, parsed one at a time
-    into the columns (p, a_re, a_im, a_raw) and the numbers of the blank lines,
-    which hold no row; a row that does not parse, or whose p is outside
-    2..MAX_P, is refused at its line, which follows the rows and blank lines
-    before it.  The lines are decoded READ_BYTES at a time, so no list of them
-    spans the file.  Only a strict pass, over rows that hold a '_' or a
-    non-ASCII character somewhere, looks for them in each row."""
-    p, a_re, a_im, raws, blank = array("q"), array("d"), array("d"), [], []
+def _loads_rows(data: bytes, start: int, strict: bool, blank: list):
+    """The lines of data from offset start on, parsed one at a time into the
+    columns (p, a_re, a_im, a_raw); a blank line holds no row and appends the
+    number of rows before it to blank.  A row that does not parse, or whose p is
+    outside 2..MAX_P, is refused at its row.  The lines are decoded READ_BYTES
+    at a time, so no list of them spans the file.  Only a strict pass, over rows
+    that hold a '_' or a non-ASCII character somewhere, looks for them in each row."""
+    p, a_re, a_im, raws = array("q"), array("d"), array("d"), []
     width, end = None, start - 1
     while end < len(data):
         start = end + 1
@@ -493,28 +489,27 @@ def _loads_rows(data: bytes, start: int, strict: bool):
             parts = line.split(",")
             if len(parts) != width:
                 if not line.strip():
-                    blank.append(len(p) + len(blank) + 2)
+                    blank.append(len(p))
                     continue
                 if width is not None or len(parts) not in (3, 4):
-                    message = f"expected {width or '3 or 4'} columns, got {len(parts)}"
-                    raise DatasetFormatError(message, line=len(p) + len(blank) + 2)
+                    raise DatasetError(f"expected {width or '3 or 4'} columns, got {len(parts)}", row=len(p))
                 width = len(parts)
             if strict and ("_" in line or not line.isascii()):  # int() and float() read both as digits
                 what = "'_'" if "_" in line else "non-ASCII character"
-                raise DatasetFormatError(f"{what} in a number: {line!r}", line=len(p) + len(blank) + 2)
+                raise DatasetError(f"{what} in a number: {line!r}", row=len(p))
             try:
                 q, x, y = int(parts[0]), float(parts[1]), float(parts[2])
                 if width == 4:
                     raws.append(int(parts[3]))
             except ValueError as exc:
-                raise DatasetFormatError(str(exc), line=len(p) + len(blank) + 2) from None
+                raise DatasetError(str(exc), row=len(p)) from None
             # the range check comes before p goes into an int64 column or sizes a sieve
             if not 2 <= q <= MAX_P:
-                raise DatasetFormatError(f"p = {q} is outside 2..{MAX_P}", line=len(p) + len(blank) + 2)
+                raise DatasetError(f"p = {q} is outside 2..{MAX_P}", row=len(p))
             p.append(q)
             a_re.append(x)
             a_im.append(y)
-    return p, a_re, a_im, tuple(raws) if width == 4 else None, blank
+    return p, a_re, a_im, tuple(raws) if width == 4 else None
 
 
 def _text(data: bytes) -> str:
@@ -554,8 +549,8 @@ def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
 
 
 def _load(read) -> Dataset:
-    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text
-    mode ends them; the bytes go before the checks of the columns."""
+    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text mode ends
+    them, each fault at a row named at its line; the bytes go before the checks of the columns."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it, so that a line ends at b"\n" alone
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -564,17 +559,15 @@ def _load(read) -> Dataset:
         _text(data)
     start = data.find(b"\n") + 1 or len(data)
     header, _ = _head(data[:start])
-    # once over the rows, so that a clean text skips the per-row test
-    p, a_re, a_im, raw, blank = _loads_rows(data, start, not plain or data.find(b"_", start) >= 0)
-    del data  # the columns are all that is left of the text
+    blank = []  # the number of rows before each blank line, in order
     try:
+        # once over the rows, so that a clean text skips the per-row test
+        p, a_re, a_im, raw = _loads_rows(data, start, not plain or data.find(b"_", start) >= 0, blank)
+        del data  # the columns are all that is left of the text
         sieve = _sieve(max(p, default=2))
         composite = next(itertools.filterfalse(sieve.__getitem__, p), None)
         if composite is not None:  # its first row, for a composite met before is met first
             raise DatasetError(f"p = {composite} is not prime", row=p.index(composite))
         return Dataset(header, Records._adopt(p, a_re, a_im, raw))
     except DatasetError as exc:  # each fault names its row, and the blank lines before it move its line
-        line = exc.row + 2
-        for b in blank:  # in order, so each one at or before the line moves it down one
-            line += b <= line
-        raise DatasetFormatError(str(exc), line=line) from None
+        raise DatasetFormatError(str(exc), line=exc.row + 2 + bisect_right(blank, exc.row)) from None

@@ -1101,18 +1101,30 @@ def test_canonical_fault_refused_from_its_columns(rows):
     assert outcome(loads_csv, text) == want
 
 
-@pytest.mark.parametrize("last", ["17", "15"], ids=["valid", "composite-last"])
+@pytest.mark.parametrize(
+    "last, fault",
+    [
+        ("17,0.5,0.0", None),
+        ("15,0.5,0.0", "p = 15 is not prime"),
+        ("1_7,0.5,0.0", "'_' in a number: '1_7,0.5,0.0'"),
+        ("17,0.5", "expected 3 columns, got 2"),
+        ("17.0,0.5,0.0", "invalid literal for int() with base 10: '17.0'"),
+        (f"{MAX_P + 12},0.5,0.0", f"p = {MAX_P + 12} is outside 2..{MAX_P}"),
+    ],
+    ids=["valid", "composite-last", "underscore-last", "2-columns-last", "float-p-last", "past-max-p-last"],
+)
 @pytest.mark.parametrize("at", [0, 3, 4, 5, 7], ids=["first", "block-start", "block-middle", "block-end", "text-end"])
-def test_blank_line_moves_the_line_of_each_row_after_it(monkeypatch, at, last):
+def test_blank_line_moves_the_line_of_each_row_after_it(monkeypatch, at, last, fault):
     # with blocks of 24 bytes, about three rows, a blank line numbers the rows
-    # after it one line further down, wherever it falls
+    # after it one line further down, wherever it falls, for a fault the columns
+    # show (a composite) and for each that parsing a row meets
     monkeypatch.setattr(datasets, "READ_BYTES", 24)
-    rows = [f"{p},0.{p},0.0" for p in (2, 3, 5, 7, 11, 13)] + [f"{last},0.5,0.0"]
+    rows = [f"{p},0.{p},0.0" for p in (2, 3, 5, 7, 11, 13)] + [last]
     rows.insert(at, "")
     text = CSV_HEAD + "\n" + "\n".join(rows) + "\n"
     assert outcome(loads_csv, text) == oracle(text)
-    if last == "15":
-        assert outcome(loads_csv, text)[1] == f"line {9 - (at == 7)}: p = 15 is not prime"
+    if fault is not None:
+        assert outcome(loads_csv, text) == (DatasetFormatError, f"line {9 - (at == 7)}: {fault}")
 
 
 @pytest.mark.parametrize("raw", ["", ",1"], ids=["3-columns", "4-columns"])
