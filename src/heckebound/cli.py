@@ -12,6 +12,7 @@ success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -244,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # started with fd 2 closed: print(file=None) and argparse would write to stdout
+        sys.stderr = io.StringIO()  # not os.devnull, which would take fd 1 were stdout closed too
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

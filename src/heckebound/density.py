@@ -29,16 +29,12 @@ from .errors import DatasetError, ParameterError
 WITNESS_FRACTION = 0.01
 
 
-def _require_records(records: Records) -> None:
+def _rotated(records: Records, phi: float) -> Sequence[float]:
+    """Re(a_p e^{i phi}) = a_re cos(phi) - a_im sin(phi) as a new float64 array,
+    or as the read-only a_re column itself where the rotation changes no bit of
+    it; every public function here calls it first, so it alone refuses an empty dataset."""
     if not len(records):
         raise DatasetError("empty dataset")
-
-
-def _rotated(records: Records, phi: float) -> Sequence[float]:
-    """Re(a_p e^{i phi}) = a_re cos(phi) - a_im sin(phi) over a non-empty dataset
-    and a finite phi, as a new float64 array, or as the read-only a_re column
-    itself where the rotation changes no bit of it."""
-    _require_records(records)
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}")
     turn = cmath.exp(1j * phi)
@@ -48,12 +44,6 @@ def _rotated(records: Records, phi: float) -> Sequence[float]:
         return records.a_re
     cos, sin = itertools.repeat(turn.real), itertools.repeat(turn.imag)
     return array("d", map(operator.sub, map(operator.mul, records.a_re, cos), map(operator.mul, records.a_im, sin)))
-
-
-def operating_point(records: Records) -> float:
-    """s = 1 + 1/log X with X the largest prime in the data."""
-    _require_records(records)
-    return 1.0 + 1.0 / math.log(records.p[-1])
 
 
 def truncated_sum(records: Records, k: int, s: float, phi: float = 0.0) -> float:
@@ -95,7 +85,7 @@ def density_profile(
     records: Records, c: float, side: str, phi: float = 0.0
 ) -> DensityReport:
     """Proportion of primes with Re(a_p e^{i phi}) > c ('above') or < -c
-    ('below'), both natural and weighted by p^-s at s = 1 + 1/log X."""
+    ('below'), natural and weighted by p^-s at s = 1 + 1/log X, X the largest p."""
     vals = _rotated(records, phi)
     if not (math.isfinite(c) and c >= 0):
         raise ParameterError(f"threshold must be finite and >= 0, got {c}")
@@ -103,7 +93,7 @@ def density_profile(
         raise ParameterError(f"side must be 'above' or 'below', got {side!r}")
     beyond = functools.partial(operator.lt, c) if side == "above" else functools.partial(operator.gt, -c)
     hits = array("b", map(beyond, vals))
-    s = operating_point(records)
+    s = 1.0 + 1.0 / math.log(records.p[-1])
     weights = array("d", map(pow, records.p, itertools.repeat(-s)))
     count = sum(hits)
     return DensityReport(

@@ -522,6 +522,32 @@ def test_printing_to_a_closed_stdout_exits_one(tmp_path, argv):
     assert (proc.returncode, proc.stderr) == (1, "error: [Errno 9] Bad file descriptor\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_generate_out_dev_stdout_with_stderr_closed_writes_only_the_csv(tmp_path, capsys):
+    # under 2>&- sys.stderr is None, and print(file=None) would append the note to the CSV
+    path = tmp_path / "tau.csv"
+    csv = run(capsys, "generate", "--kind", "tau", "--x", "20")[1]
+    argv = [sys.executable, "-m", "heckebound.cli", "generate", "--kind", "tau", "--x", "20", "--out", "/dev/stdout"]
+    proc = subprocess.run(["sh", "-c", f'{shlex.join(argv)} 2>&- > "$0"', str(path)], env=CLI_ENV)
+    assert proc.returncode == 0
+    assert path.read_bytes() == csv.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("verify --input /nonexistent --theorem t1pos --json 2>&-", 1),
+        ("poles --bogus 2>&-", 2),  # argparse prints its usage to stdout for a None stderr (and Python 3.10 exits 1)
+        ("generate --kind tau --x 100 >&- 2>&-", 1),  # an os.devnull stand-in for stderr would take fd 1 and exit 0
+    ],
+    ids=["error", "usage", "stdout-closed-too"],
+)
+def test_a_closed_stderr_sends_nothing_to_stdout(args, code):
+    script = f"{shlex.join([sys.executable, '-m', 'heckebound.cli'])} {args}"
+    proc = subprocess.run(["sh", "-c", script], env=CLI_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+
 def test_generate_out_empty_exits_one(capsys):
     code, out, err = run(capsys, "generate", "--kind", "tau", "--x", "100", "--out", "")
     assert (code, out, err) == (1, "", "error: --out needs a path\n")

@@ -13,7 +13,6 @@ from heckebound import density
 from heckebound.datasets import CSV_BLOCK, Records, first_n_primes, sato_tate_sample
 from heckebound.density import (
     density_profile,
-    operating_point,
     pole_order_probe,
     truncated_sum,
     verify_theorem,
@@ -89,16 +88,22 @@ def test_probe_rejects_infinite_slope_from_finite_sums():
 
 
 def test_empty_dataset_rejected():
-    with pytest.raises(DatasetError):
-        truncated_sum(Records([], []), 2, 1.2)
-    with pytest.raises(DatasetError):
-        density_profile(Records([], []), 0.9, "above")
+    empty = Records([], [])
+    calls = [
+        lambda: truncated_sum(empty, 2, 1.2),
+        lambda: density_profile(empty, 0.9, "above"),
+        lambda: verify_theorem(empty, "t1pos"),
+        lambda: pole_order_probe(empty, 4, [1.5, 1.3, 1.2, 1.1]),
+    ]
+    for call in calls:
+        with pytest.raises(DatasetError, match="^empty dataset$"):
+            call()
 
 
 def test_operating_point():
     records = constant_records(1.0, 100)
     X = records.p[-1]
-    assert operating_point(records) == pytest.approx(1 + 1 / math.log(X))
+    assert density_profile(records, 0.9, "above").s_used == 1.0 + 1.0 / math.log(X)
 
 
 def test_density_profile_zero_threshold_partition():
