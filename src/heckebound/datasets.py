@@ -442,8 +442,6 @@ def dumps_csv(dataset: Dataset) -> str:
 def csv_chunks(dataset: Dataset):
     """dataset's CSV text as the header line, then CSV_BLOCK rows at a time."""
     h, r = dataset.header, dataset.records
-    if "," in h.source:
-        raise DatasetError("header source must not contain commas")
     line = f"# source={h.source},self_dual={'true' if h.self_dual else 'false'},X={h.X}\n"
     try:  # the reader's own header step, on the line as text mode reads it, so its rules live in one place
         readable = _head(line.encode("utf-8", "surrogatepass").replace(b"\r", b"\n")) == (h, [""])

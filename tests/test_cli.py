@@ -258,10 +258,10 @@ def test_symbolic_subcommands_leave_numpy_unloaded():
         f"for argv in {argvs!r}:\n"
         "    run(argv)\n"
         "    run(argv + ['--json'])\n"
-        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules, 'logging' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=CLI_ENV, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\nFalse False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse False False\n"), proc.stderr
 
 
 def test_refused_generate_and_probe_leave_numpy_unloaded(tmp_path):
@@ -316,10 +316,10 @@ def test_read_calls_leave_numpy_unloaded(tmp_path):
         f"for argv, want in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert main(argv) == want, argv\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'logging' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=CLI_ENV, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
 def test_decompose_pair_past_the_cap_exits_one(capsys):
@@ -621,7 +621,7 @@ def test_argv_integers_past_a_double_exit_one(tmp_path, capsys, argv):
 
 
 def test_probe_k_past_a_double_prints_a_short_error(tmp_path, capsys):
-    # k is echoed only up to 20 digits; past that the message gives its length
+    # the overflow message names no k, so a 401-digit k gives one short line
     path = tmp_path / "small.csv"
     path.write_text("# source=x,self_dual=true,X=13\n5,0.4,0.0\n7,-0.7,0.0\n13,1.1,0.0\n")
     code, out, err = run(capsys, "probe", "--k", str(10**400), "--input", str(path))

@@ -30,7 +30,7 @@ FIELDS = {
     BoundResult: (positive_side(), ("constant", "optimizer", "branch_values", "trace")),
     DensityReport: (
         density_profile(RECORDS, 0.5, "above"),
-        ("threshold", "side", "phi", "natural_proportion", "dirichlet_weighted", "count", "s_used", "X"),
+        ("natural_proportion", "dirichlet_weighted", "count", "s_used", "X"),
     ),
     TheoremReport: (
         verify_theorem(RECORDS, "t1pos"),
