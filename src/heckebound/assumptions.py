@@ -25,6 +25,7 @@ class TypeAssumption(namedtuple("TypeAssumption", "rep_type self_dual omega_orde
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
 
     def __new__(cls, rep_type=RepType.GENERAL, self_dual=True, omega_order=1):
         if omega_order < 1:

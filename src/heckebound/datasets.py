@@ -60,6 +60,7 @@ class Records(namedtuple("Records", "p a_re a_im a_raw")):
     primes.  A bad p or a is reported at its first row (`DatasetError.row`)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__ and compares len() with 4
 
     def __new__(cls, p, a_re, a_im=None, a_raw=None):
         try:
@@ -87,16 +88,13 @@ class Records(namedtuple("Records", "p a_re a_im a_raw")):
             raise DatasetError("raw eigenvalues must be exact integers")
         return super().__new__(cls, *(memoryview(c).toreadonly() for c in (p, a_re, a_im)), raw)
 
-    @classmethod
-    def _make(cls, columns):  # namedtuple's own compares len(), the number of primes, with 4; _replace calls it
-        return cls(*columns)
-
     def __len__(self) -> int:
         return len(self.p)
 
 
 class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
 
     def __new__(cls, source, self_dual, X):
         if X < 0:
@@ -106,6 +104,7 @@ class DatasetHeader(namedtuple("DatasetHeader", "source self_dual X")):
 
 class Dataset(namedtuple("Dataset", "header records")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
 
     def __new__(cls, header, records):
         p, X = records.p, header.X

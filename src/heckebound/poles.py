@@ -22,7 +22,6 @@ from .repring import (
     VirtualRep,
     atom_label,
     atom_text,
-    char,
     dual,
     reduce_rep,
     tensor_power,
@@ -69,7 +68,7 @@ class PoleCertificate(
         return out
 
 
-TRIVIAL = char(0)
+TRIVIAL = Atom()
 
 
 def _mod_omega(a: Atom, t: TypeAssumption) -> Atom:

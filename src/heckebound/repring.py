@@ -3,11 +3,13 @@
 An atom is Sym^k of the standard 2-dim object or, when it carries a label,
 the opaque cuspidal pi_chi or its dual pi_chi_bar (degree 0), twisted by
 the central character w and the auxiliary order-3 character mu; a GL(1)
-character is Sym^0 so twisted.  VirtualRep is a formal integer combination
-of atoms.  The vocabulary and the Sym^3/Sym^4 reductions are fixed in
-read-only tables (AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the module
-holds no mutable state; every value is immutable and every operation pure,
-so the module is safe for unrestricted parallel use.  `dual` is the
+character is Sym^0 so twisted.  Atom(degree, omega, aux, label) is the one
+way to build an atom: each field defaults (Atom() is the trivial character)
+and _make and _replace go through it.  VirtualRep is a formal integer
+combination of atoms.  The vocabulary and the Sym^3/Sym^4 reductions are
+fixed in read-only tables (AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the
+module holds no mutable state; every value is immutable and every operation
+pure, so the module is safe for unrestricted parallel use.  `dual` is the
 contragredient the pole ledger's one rule rests on.  One renderer spells
 atoms two ways: atom_text parses back, atom_label (and rep_label) display.
 """
@@ -62,9 +64,10 @@ def _canonical_aux(aux: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...
 class Atom(namedtuple("Atom", "sym_degree omega_power aux opaque_label")):
     """Sym^k (k = 0 is a GL(1) character) or, when opaque_label is set, that
     opaque cuspidal label (degree 0), times w^a and an auxiliary character
-    whose (name, exponent) pairs are kept canonical."""
+    whose (name, exponent) pairs, given as any iterable, are kept canonical."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
 
     def __new__(cls, sym_degree=0, omega_power=0, aux=(), opaque_label=""):
         aux = _canonical_aux(aux)
@@ -90,20 +93,6 @@ class Atom(namedtuple("Atom", "sym_degree omega_power aux opaque_label")):
         return (rank, -self.sym_degree, self.opaque_label, self.omega_power, self.aux)
 
 
-def sym(degree: int, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    return Atom(degree, omega, tuple(aux))
-
-
-def char(omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    """The GL(1) character w^omega times aux, which is Sym^0 so twisted."""
-    return sym(0, omega, aux)
-
-
-def opaque(label: str, omega: int = 0, aux: Iterable[tuple[str, int]] = ()) -> Atom:
-    return Atom(0, omega, tuple(aux), label)
-
-
-PI = sym(1)
 MU = (("mu", 1),)
 MU2 = (("mu", 2),)
 
@@ -159,7 +148,7 @@ def cg_pair(a: int, b: int) -> VirtualRep:
         raise AlgebraError("cg_pair needs non-negative degrees")
     if max(a, b) > PAIR_DEGREE_CAP:
         raise AlgebraError(f"cg_pair supports degrees up to {PAIR_DEGREE_CAP}, got {a} and {b}")
-    return VirtualRep.from_terms((sym(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
+    return VirtualRep.from_terms((Atom(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
 
 
 def tensor_power(k: int) -> VirtualRep:
@@ -172,7 +161,7 @@ def tensor_power(k: int) -> VirtualRep:
             "handled by pairing half powers"
         )
     return VirtualRep.from_terms(
-        (sym(k - 2 * j, j), math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1))
+        (Atom(k - 2 * j, j), math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1))
         for j in range(k // 2 + 1)
     )
 
@@ -181,10 +170,10 @@ def tensor_power(k: int) -> VirtualRep:
 # Sym^3 stays cuspidal); reduce_atom twists each piece by the atom's w and aux.
 REDUCTIONS: Mapping[tuple[RepType, int], VirtualRep] = MappingProxyType(
     {
-        (RepType.TETRAHEDRAL, 3): VirtualRep.of(sym(1, 1, MU), sym(1, 1, MU2)),
-        (RepType.TETRAHEDRAL, 4): VirtualRep.of(sym(2, 1), char(2, MU), char(2, MU2)),
-        (RepType.OCTAHEDRAL, 3): VirtualRep.of(sym(3)),
-        (RepType.OCTAHEDRAL, 4): VirtualRep.of(opaque(MONOMIAL_LABEL, 2), sym(2, 1)),
+        (RepType.TETRAHEDRAL, 3): VirtualRep.of(Atom(1, 1, MU), Atom(1, 1, MU2)),
+        (RepType.TETRAHEDRAL, 4): VirtualRep.of(Atom(2, 1), Atom(0, 2, MU), Atom(0, 2, MU2)),
+        (RepType.OCTAHEDRAL, 3): VirtualRep.of(Atom(3)),
+        (RepType.OCTAHEDRAL, 4): VirtualRep.of(Atom(0, 2, opaque_label=MONOMIAL_LABEL), Atom(2, 1)),
     }
 )
 
@@ -257,7 +246,7 @@ def rep_label(v: VirtualRep) -> str:
 def parse_atom(text: str) -> Atom:
     text = text.strip()
     if text == "1":
-        return char(0)
+        return Atom()
     degree, label = None, ""  # until the one Sym or opaque factor is read
     omega = 0
     aux: list[tuple[str, int]] = []
@@ -279,4 +268,4 @@ def parse_atom(text: str) -> Atom:
             opaque_dual(label)  # Atom reads an empty label as none
     if degree == 0:
         raise AlgebraError("SymPow atoms need sym_degree >= 1")
-    return Atom(degree or 0, omega, tuple(aux), label)
+    return Atom(degree or 0, omega, aux, label)

@@ -18,7 +18,7 @@ from heckebound.poles import (
     std_pole_order,
     tensor_power_pole,
 )
-from heckebound.repring import MU, MU2, PI, VirtualRep, char, sym, tensor_power
+from heckebound.repring import MU, MU2, Atom, VirtualRep, tensor_power
 
 NSD = TypeAssumption(RepType.GENERAL, False, 2)
 DIHEDRAL = TypeAssumption(RepType.DIHEDRAL, True, 1)
@@ -52,19 +52,19 @@ def test_dihedral_self_dual_may_keep_omega():
 
 
 def test_rs_standard_self_dual():
-    cert = rs_pole_order(VirtualRep.of(PI), VirtualRep.of(PI), GENERAL_SELF_DUAL)
+    cert = rs_pole_order(VirtualRep.of(Atom(1)), VirtualRep.of(Atom(1)), GENERAL_SELF_DUAL)
     assert cert.total_order == 1
 
 
 def test_rs_standard_non_self_dual():
-    cert = rs_pole_order(VirtualRep.of(PI), VirtualRep.of(PI), NSD)
+    cert = rs_pole_order(VirtualRep.of(Atom(1)), VirtualRep.of(Atom(1)), NSD)
     assert cert.total_order == 0
 
 
 def test_rs_sym3_tetrahedral():
     # expand (pi mu + pi mu^2) x (pi mu + pi mu^2): the two cross pairs have
     # cancelling cubic twists (mu^3 = 1) and each carries a simple pole
-    cert = rs_pole_order(VirtualRep.of(sym(3)), VirtualRep.of(sym(3)), TETRAHEDRAL_SELF_DUAL)
+    cert = rs_pole_order(VirtualRep.of(Atom(3)), VirtualRep.of(Atom(3)), TETRAHEDRAL_SELF_DUAL)
     expected = 0
     for x_aux in (MU, MU2):
         for y_aux in (MU, MU2):
@@ -75,7 +75,7 @@ def test_rs_sym3_tetrahedral():
 
 
 def test_rs_distinct_cuspidal_atoms():
-    cert = rs_pole_order(VirtualRep.of(sym(4)), VirtualRep.of(sym(2, 1)), GENERAL_SELF_DUAL)
+    cert = rs_pole_order(VirtualRep.of(Atom(4)), VirtualRep.of(Atom(2, 1)), GENERAL_SELF_DUAL)
     assert cert.total_order == 0
 
 
@@ -86,7 +86,7 @@ def test_rs_symmetry():
 
 
 def test_rs_bilinearity():
-    a1, a2, b = VirtualRep.of(sym(2)), VirtualRep.of(PI), tensor_power(2)
+    a1, a2, b = VirtualRep.of(Atom(2)), VirtualRep.of(Atom(1)), tensor_power(2)
     joint = rs_pole_order(VirtualRep.from_terms(a1.terms + a2.terms), b, GENERAL_SELF_DUAL).total_order
     split = (
         rs_pole_order(a1, b, GENERAL_SELF_DUAL).total_order
@@ -97,7 +97,7 @@ def test_rs_bilinearity():
 
 def test_rs_dihedral_excluded():
     with pytest.raises(AlgebraError, match=DIHEDRAL_REFUSAL):
-        rs_pole_order(VirtualRep.of(PI), VirtualRep.of(PI), DIHEDRAL)
+        rs_pole_order(VirtualRep.of(Atom(1)), VirtualRep.of(Atom(1)), DIHEDRAL)
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +105,21 @@ def test_rs_dihedral_excluded():
 
 
 def test_std_trivial_character():
-    assert std_pole_order(VirtualRep.of(char(2)), GENERAL_SELF_DUAL).total_order == 1
+    assert std_pole_order(VirtualRep.of(Atom(0, 2)), GENERAL_SELF_DUAL).total_order == 1
 
 
 def test_std_twisted_sym3_invertible():
-    assert std_pole_order(VirtualRep.of(sym(3, 3)), GENERAL_SELF_DUAL).total_order == 0
+    assert std_pole_order(VirtualRep.of(Atom(3, 3)), GENERAL_SELF_DUAL).total_order == 0
 
 
 def test_std_nontrivial_character_order3():
     t = TypeAssumption(RepType.GENERAL, False, 3)
-    assert std_pole_order(VirtualRep.of(char(1)), t).total_order == 0
-    assert std_pole_order(VirtualRep.of(char(3)), t).total_order == 1
+    assert std_pole_order(VirtualRep.of(Atom(0, 1)), t).total_order == 0
+    assert std_pole_order(VirtualRep.of(Atom(0, 3)), t).total_order == 1
 
 
 def test_std_aux_character_nontrivial():
-    assert std_pole_order(VirtualRep.of(char(0, MU)), GENERAL_SELF_DUAL).total_order == 0
+    assert std_pole_order(VirtualRep.of(Atom(0, 0, MU)), GENERAL_SELF_DUAL).total_order == 0
 
 
 # ---------------------------------------------------------------------------

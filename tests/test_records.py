@@ -15,7 +15,7 @@ from heckebound.datasets import Dataset, DatasetHeader, Records
 from heckebound.density import DensityReport, TheoremReport, density_profile, verify_theorem
 from heckebound.errors import AlgebraError, DatasetError, ParameterError
 from heckebound.poles import CertFactor, PoleCertificate, tensor_power_pole
-from heckebound.repring import MU, Atom, VirtualRep, char, sym
+from heckebound.repring import MU, Atom, VirtualRep
 
 RECORDS = Records([2, 3, 5, 7], [1.5, -1.5, 0.25, 1.0], a_raw=[3, -3, 1, 2])
 CERT = tensor_power_pole(4, GENERAL_SELF_DUAL)
@@ -23,8 +23,8 @@ CERT = tensor_power_pole(4, GENERAL_SELF_DUAL)
 #: each record type with a value of it and its fields in their printed order
 FIELDS = {
     TypeAssumption: (GENERAL_SELF_DUAL, ("rep_type", "self_dual", "omega_order")),
-    Atom: (sym(3, 1, MU), ("sym_degree", "omega_power", "aux", "opaque_label")),
-    VirtualRep: (VirtualRep.of(sym(1), char(1)), ("terms",)),
+    Atom: (Atom(3, 1, MU), ("sym_degree", "omega_power", "aux", "opaque_label")),
+    VirtualRep: (VirtualRep.of(Atom(1), Atom(0, 1)), ("terms",)),
     CertFactor: (CERT.factors[0], ("left", "right", "multiplicity", "pole_contrib")),
     PoleCertificate: (CERT, ("factors", "total_order", "assumption", "note")),
     BoundResult: (positive_side(), ("constant", "optimizer", "branch_values", "trace")),
@@ -106,20 +106,30 @@ def test_field_order_is_fixed(kind):
     ],
 )
 def test_invalid_construction_is_refused(build, error, message, row):
+    _assert_refused(build, error, message, row)
+
+
+def _assert_refused(build, error, message, row):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         build()
     assert type(info.value) is error
     assert getattr(info.value, "row", None) == row
 
 
+@pytest.mark.parametrize("kind", FIELDS, ids=lambda k: k.__name__)
+def test_a_checking_constructor_comes_with_its_own_make(kind):
+    # namedtuple's own _make, which _replace calls, skips __new__ and its checks
+    assert "__new__" not in vars(kind) or "_make" in vars(kind)
+
+
 def test_atom_keys_a_dict_by_its_canonical_aux():
     # mu has order 3: mu * mu^3 is mu, mu^3 is trivial, and the order of the
     # pairs does not matter, so each spelling finds the same entry
-    table = {sym(1, 0, MU): "pi*mu", char(0): "1"}
+    table = {Atom(1, 0, MU): "pi*mu", Atom(): "1"}
     assert table[Atom(1, 0, (("mu", 1), ("mu", 3)))] == "pi*mu"
     assert table[Atom(1, 0, (("mu", 4),))] == "pi*mu"
     assert table[Atom(0, 0, (("mu", 3),))] == "1"
-    assert table[sym(1).twist(aux=(("mu", 2),)).twist(aux=(("mu", 2),))] == "pi*mu"
+    assert table[Atom(1).twist(aux=(("mu", 2),)).twist(aux=(("mu", 2),))] == "pi*mu"
     assert Atom(1, 0, [("mu", 4)]).aux == (("mu", 1),)
 
 
@@ -169,14 +179,42 @@ def test_records_copy_what_they_do_not_own(given):
 
 
 def test_records_replace_and_make_build_through_the_checks():
-    # len() counts primes, not fields, so namedtuple's own _make, which compares
-    # len() with 4, cannot serve: both build through Records(...) and its checks
+    # namedtuple's own _make, which _replace calls, skips __new__ (and, for Records,
+    # compares len(), the number of primes, with 4): each checked type's builds
+    # through its constructor, so each refusal of the constructor holds here too
     two = Records([2, 3], [0.5, 0.5])._replace(a_re=[0.1, 0.2])
     assert two == Records([2, 3], [0.1, 0.2]) and two.a_re.readonly
-    with pytest.raises(DatasetError, match="eigenvalue at p = 5 is not finite"):
-        RECORDS._replace(a_re=[0.5, 0.5, math.nan, 0.5])
-    with pytest.raises(DatasetError, match="sorted strictly increasing"):
-        Records._make([[7, 5, 3, 2], RECORDS.a_re, RECORDS.a_im, None])
+    assert Atom(1, 0, MU)._replace(aux=(("mu", 4),)) == Atom(1, 0, MU)  # aux stays canonical
+    nsd_needs_omega = "a trivial central character forces self-duality; non-self-dual assumptions need omega_order >= 2"
+    unsorted = "records must be sorted strictly increasing in p >= 2"
+    refused = [
+        (lambda: GENERAL_SELF_DUAL._replace(omega_order=0), ParameterError, "omega_order must be >= 1", None),
+        (
+            lambda: GENERAL_SELF_DUAL._replace(omega_order=2),
+            ParameterError,
+            "self-dual non-dihedral representations have trivial central character",
+            None,
+        ),
+        (lambda: GENERAL_SELF_DUAL._replace(self_dual=False), ParameterError, nsd_needs_omega, None),
+        (lambda: Atom(3, 1, MU)._replace(opaque_label="pi_chi"), AlgebraError, "opaque atom 'pi_chi' needs sym_degree 0", None),
+        (lambda: Atom._make((2, 0, (), "pi_chi")), AlgebraError, "opaque atom 'pi_chi' needs sym_degree 0", None),
+        (lambda: Atom(3, 1, MU)._replace(sym_degree=-1), AlgebraError, "SymPow atoms need sym_degree >= 0", None),
+        (lambda: Atom()._replace(opaque_label="pi_psi"), AlgebraError, "unknown opaque cuspidal label 'pi_psi'", None),
+        (lambda: Atom(3, 1, MU)._replace(aux=(("nu", 1),)), AlgebraError, "unknown aux character symbol 'nu'", None),
+        (lambda: DatasetHeader("x", True, 10)._replace(X=-1), DatasetError, "header X=-1 is negative", None),
+        (lambda: Records._make([[7, 5, 3, 2], RECORDS.a_re, RECORDS.a_im, None]), DatasetError, unsorted, 1),
+        (lambda: RECORDS._replace(a_re=[0.5, 0.5, math.nan, 0.5]), DatasetError, "eigenvalue at p = 5 is not finite", 2),
+        (lambda: RECORDS._replace(a_raw=[3, -3, 1, 2.5]), DatasetError, "raw eigenvalues must be exact integers", None),
+        (lambda: RECORDS._replace(a_raw=[3, -3, 1, True]), DatasetError, "raw eigenvalues must be exact integers", None),
+        (
+            lambda: FIELDS[Dataset][0]._replace(header=DatasetHeader("x", True, 5)),
+            DatasetError,
+            "record prime 7 exceeds header X=5",
+            3,
+        ),
+    ]
+    for build, error, message, row in refused:
+        _assert_refused(build, error, message, row)
 
 
 def test_replacing_a_note_keeps_the_certificate_type():

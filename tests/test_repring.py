@@ -20,18 +20,14 @@ from heckebound.repring import (
     MU,
     MU2,
     PAIR_DEGREE_CAP,
-    PI,
     Atom,
     VirtualRep,
     atom_text,
     cg_pair,
-    char,
     dual,
-    opaque,
     parse_atom,
     reduce_atom,
     reduce_rep,
-    sym,
     tensor_power,
 )
 from satake import SatakePoint, eval_atom, eval_char, power_sum
@@ -58,12 +54,12 @@ def sym_trace(k, s):
 
 
 def test_cg_pair_1_1():
-    assert cg_pair(1, 1) == VirtualRep.from_terms([(sym(2), 1), (char(1), 1)])
+    assert cg_pair(1, 1) == VirtualRep.from_terms([(Atom(2), 1), (Atom(0, 1), 1)])
 
 
 def test_cg_pair_trivial_edges():
-    assert cg_pair(0, 3) == VirtualRep.of(sym(3))
-    assert cg_pair(0, 0) == VirtualRep.of(char(0))
+    assert cg_pair(0, 3) == VirtualRep.of(Atom(3))
+    assert cg_pair(0, 0) == VirtualRep.of(Atom())
 
 
 @pytest.mark.parametrize("a", range(9))
@@ -84,7 +80,7 @@ def test_cg_pair_numeric_oracle(a, b):
 
 def test_cg_pair_4_3_structure():
     expected = VirtualRep.from_terms(
-        [(sym(7), 1), (sym(5, 1), 1), (sym(3, 2), 1), (sym(1, 3), 1)]
+        [(Atom(7), 1), (Atom(5, 1), 1), (Atom(3, 2), 1), (Atom(1, 3), 1)]
     )
     assert cg_pair(4, 3) == expected
 
@@ -107,16 +103,16 @@ def test_cg_pair_takes_degrees_up_to_the_cap():
 
 
 def test_tensor_power_1():
-    assert tensor_power(1) == VirtualRep.of(PI)
+    assert tensor_power(1) == VirtualRep.of(Atom(1))
 
 
 def test_tensor_power_3():
-    assert tensor_power(3) == VirtualRep.from_terms([(sym(3), 1), (sym(1, 1), 2)])
+    assert tensor_power(3) == VirtualRep.from_terms([(Atom(3), 1), (Atom(1, 1), 2)])
 
 
 def test_tensor_power_4():
     assert tensor_power(4) == VirtualRep.from_terms(
-        [(sym(4), 1), (sym(2, 1), 3), (char(2), 2)]
+        [(Atom(4), 1), (Atom(2, 1), 3), (Atom(0, 2), 2)]
     )
 
 
@@ -153,35 +149,35 @@ def test_tensor_power_matches_trace_power(k):
 
 
 def test_dual_standard():
-    assert dual(PI) == sym(1, -1)
+    assert dual(Atom(1)) == Atom(1, -1)
 
 
 def test_dual_character():
-    assert dual(char(2)) == char(-2)
+    assert dual(Atom(0, 2)) == Atom(0, -2)
 
 
 def test_dual_sym3_trivial_omega():
     # with omega trivial the ledger compares powers mod 1, so the twisted
     # dual is the same atom up to omega; symbolically the twist is recorded
-    assert dual(sym(3)) == sym(3, -3)
-    assert dual(sym(3, -3)) == sym(3, 0)
+    assert dual(Atom(3)) == Atom(3, -3)
+    assert dual(Atom(3, -3)) == Atom(3, 0)
 
 
 def test_dual_aux_inverts():
-    assert dual(sym(1, 0, MU)) == sym(1, -1, MU2)
+    assert dual(Atom(1, 0, MU)) == Atom(1, -1, MU2)
 
 
 def test_dual_opaque_partner():
-    assert dual(opaque("pi_chi")).opaque_label == "pi_chi_bar"
-    assert dual(dual(opaque("pi_chi"))) == opaque("pi_chi")
+    assert dual(Atom(opaque_label="pi_chi")).opaque_label == "pi_chi_bar"
+    assert dual(dual(Atom(opaque_label="pi_chi"))) == Atom(opaque_label="pi_chi")
 
 
 # any base atom (Sym^1..Sym^4, the trivial character, both opaque labels)
 # under any w and mu twist; degrees stop at 4 so every type can reduce them
 bases = st.one_of(
-    st.integers(1, 4).map(sym),
-    st.just(char(0)),
-    st.sampled_from(sorted(repring.OPAQUE_DUALS)).map(opaque),
+    st.integers(1, 4).map(Atom),
+    st.just(Atom()),
+    st.sampled_from(sorted(repring.OPAQUE_DUALS)).map(lambda label: Atom(opaque_label=label)),
 )
 atoms = st.builds(
     lambda base, w, e: base.twist(w, (("mu", e),)), bases, st.integers(-12, 12), st.integers(-5, 5)
@@ -248,26 +244,26 @@ def test_rs_pole_order_matches_the_per_pair_rule(x, y, t):
 
 
 def test_reduce_tetrahedral_sym3():
-    got = reduce_atom(sym(3, -1), TETRAHEDRAL_SELF_DUAL)
-    assert got == VirtualRep.from_terms([(sym(1, 0, MU), 1), (sym(1, 0, MU2), 1)])
+    got = reduce_atom(Atom(3, -1), TETRAHEDRAL_SELF_DUAL)
+    assert got == VirtualRep.from_terms([(Atom(1, 0, MU), 1), (Atom(1, 0, MU2), 1)])
 
 
 def test_reduce_octahedral_sym4():
-    got = reduce_atom(sym(4, -1), OCTAHEDRAL_SELF_DUAL)
-    assert got == VirtualRep.from_terms([(opaque("pi_chi", 1), 1), (sym(2, 0), 1)])
+    got = reduce_atom(Atom(4, -1), OCTAHEDRAL_SELF_DUAL)
+    assert got == VirtualRep.from_terms([(Atom(0, 1, opaque_label="pi_chi"), 1), (Atom(2, 0), 1)])
 
 
 def test_reduce_general_identity():
-    assert reduce_atom(sym(2), GENERAL_SELF_DUAL) == VirtualRep.of(sym(2))
-    assert reduce_atom(sym(4), GENERAL_SELF_DUAL) == VirtualRep.of(sym(4))
+    assert reduce_atom(Atom(2), GENERAL_SELF_DUAL) == VirtualRep.of(Atom(2))
+    assert reduce_atom(Atom(4), GENERAL_SELF_DUAL) == VirtualRep.of(Atom(4))
 
 
 def test_reduce_octahedral_keeps_sym3():
-    assert reduce_atom(sym(3), OCTAHEDRAL_SELF_DUAL) == VirtualRep.of(sym(3))
+    assert reduce_atom(Atom(3), OCTAHEDRAL_SELF_DUAL) == VirtualRep.of(Atom(3))
 
 
 def test_reduce_dimension_preserved():
-    for atom in [sym(3, -1), sym(4, -1), sym(4, 2, MU)]:
+    for atom in [Atom(3, -1), Atom(4, -1), Atom(4, 2, MU)]:
         for t in (TETRAHEDRAL_SELF_DUAL, OCTAHEDRAL_SELF_DUAL):
             assert reduce_atom(atom, t).dim == atom.dim
 
@@ -275,7 +271,7 @@ def test_reduce_dimension_preserved():
 def test_reduce_high_degree_rejected():
     message = r"^no reduction for Sym\^5 under the tetrahedral assumption$"
     with pytest.raises(AlgebraError, match=message):
-        reduce_atom(sym(5), TETRAHEDRAL_SELF_DUAL)
+        reduce_atom(Atom(5), TETRAHEDRAL_SELF_DUAL)
 
 
 def test_reduce_idempotent():
@@ -302,7 +298,7 @@ def test_reduction_table_entry(key, pieces):
         for e in range(3):
             twist = (("mu", e),)
             expected = VirtualRep.from_terms((p.twist(w, twist), m) for p, m in pieces.terms)
-            assert reduce_atom(sym(k, w, twist), t) == expected
+            assert reduce_atom(Atom(k, w, twist), t) == expected
     with pytest.raises(TypeError):
         repring.REDUCTIONS[key] = pieces
 
@@ -310,7 +306,7 @@ def test_reduction_table_entry(key, pieces):
 DIHEDRAL_REFUSAL = r"^the dihedral \(monomial\) type has no reductions in the atom vocabulary$"
 
 
-@pytest.mark.parametrize("atom", [sym(k) for k in range(5)] + [opaque("pi_chi")], ids=atom_text)
+@pytest.mark.parametrize("atom", [Atom(k) for k in range(5)] + [Atom(opaque_label="pi_chi")], ids=atom_text)
 def test_reduce_dihedral_refused(atom):
     with pytest.raises(AlgebraError, match=DIHEDRAL_REFUSAL):
         reduce_atom(atom, TypeAssumption(RepType.DIHEDRAL))
@@ -319,7 +315,7 @@ def test_reduce_dihedral_refused(atom):
 def test_reduce_dihedral_message_names_the_vocabulary():
     # the refusal is the algebra's, so it says nothing of poles
     with pytest.raises(AlgebraError, match=DIHEDRAL_REFUSAL):
-        reduce_atom(PI, TypeAssumption(RepType.DIHEDRAL))
+        reduce_atom(Atom(1), TypeAssumption(RepType.DIHEDRAL))
 
 
 def _tetrahedral_point(rng):
@@ -331,7 +327,7 @@ def _tetrahedral_point(rng):
 
 def test_reduce_tetrahedral_numeric_soundness():
     rng = random.Random(7)
-    for atom in [sym(3, -1), sym(4, -1)]:
+    for atom in [Atom(3, -1), Atom(4, -1)]:
         decomposed = reduce_atom(atom, TETRAHEDRAL_SELF_DUAL)
         for _ in range(50):
             s = _tetrahedral_point(rng)
@@ -344,11 +340,11 @@ def test_reduce_octahedral_numeric_soundness():
     # the opaque factor has no intrinsic character; registering the value the
     # relation dictates checks dimensions and evaluation plumbing agree
     rng = random.Random(8)
-    atom = sym(4, -1)
+    atom = Atom(4, -1)
     decomposed = reduce_atom(atom, OCTAHEDRAL_SELF_DUAL)
     for _ in range(20):
         base = random_point(rng)
-        monomial_value = (eval_atom(atom, base) - eval_atom(sym(2), base)) / base.omega_value
+        monomial_value = (eval_atom(atom, base) - eval_atom(Atom(2), base)) / base.omega_value
         s = SatakePoint(base.alpha, base.beta, opaque_values={"pi_chi": monomial_value})
         assert abs(eval_atom(atom, s) - eval_char(decomposed, s)) < 1e-10
 
@@ -358,13 +354,13 @@ def test_reduce_octahedral_numeric_soundness():
 
 
 def test_eval_char_standard_at_one():
-    assert eval_char(VirtualRep.of(PI), SatakePoint(1, 1)) == pytest.approx(2)
+    assert eval_char(VirtualRep.of(Atom(1)), SatakePoint(1, 1)) == pytest.approx(2)
 
 
 def test_eval_char_sym2_on_circle():
     for theta in (0.3, 1.2, 2.9):
         s = SatakePoint(cmath.exp(1j * theta), cmath.exp(-1j * theta))
-        got = eval_char(VirtualRep.of(sym(2)), s)
+        got = eval_char(VirtualRep.of(Atom(2)), s)
         assert got.real == pytest.approx(1 + 2 * math.cos(2 * theta), abs=1e-12)
         assert got.imag == pytest.approx(0, abs=1e-12)
 
@@ -415,12 +411,12 @@ def test_power_sum_self_dual_even_powers_nonnegative(a_p, m):
 @pytest.mark.parametrize(
     "text,atom",
     [
-        ("pi", PI),
-        ("Sym3(pi)*w^-1*mu^2", sym(3, -1, MU2)),
-        ("w^2", char(2)),
-        ("1", char(0)),
-        ("opaque:pi_chi", opaque("pi_chi")),
-        ("Sym2(pi)*w", sym(2, 1)),
+        ("pi", Atom(1)),
+        ("Sym3(pi)*w^-1*mu^2", Atom(3, -1, MU2)),
+        ("w^2", Atom(0, 2)),
+        ("1", Atom()),
+        ("opaque:pi_chi", Atom(opaque_label="pi_chi")),
+        ("Sym2(pi)*w", Atom(2, 1)),
     ],
 )
 def test_parse_atom(text, atom):
@@ -428,7 +424,7 @@ def test_parse_atom(text, atom):
 
 
 def test_atom_text_round_trip():
-    atoms = [PI, sym(4, -2, MU), char(3, MU2), opaque("pi_chi", 1), char(0)]
+    atoms = [Atom(1), Atom(4, -2, MU), Atom(0, 3, MU2), Atom(0, 1, opaque_label="pi_chi"), Atom()]
     for a in atoms:
         assert parse_atom(atom_text(a)) == a
 
@@ -464,13 +460,13 @@ def test_parse_atom_refusal_message(text, message):
 
 
 def test_aux_exponents_reduced_mod_order():
-    assert sym(1, 0, (("mu", 4),)) == sym(1, 0, MU)
-    assert sym(1, 0, (("mu", 3),)) == PI
+    assert Atom(1, 0, (("mu", 4),)) == Atom(1, 0, MU)
+    assert Atom(1, 0, (("mu", 3),)) == Atom(1)
 
 
 def test_virtualrep_no_zero_multiplicities():
-    v = VirtualRep.from_terms([(PI, 1), (PI, -1), (sym(2), 2)])
-    assert v == VirtualRep.from_terms([(sym(2), 2)])
+    v = VirtualRep.from_terms([(Atom(1), 1), (Atom(1), -1), (Atom(2), 2)])
+    assert v == VirtualRep.from_terms([(Atom(2), 2)])
 
 
 def test_symbol_tables_are_read_only():
@@ -488,9 +484,9 @@ def test_atom_invariants():
     with pytest.raises(AlgebraError):
         Atom(2, opaque_label="pi_chi")
     with pytest.raises(AlgebraError):
-        opaque("never_registered")
+        Atom(opaque_label="never_registered")
     for j in range(-2, 3):  # a GL(1) character is the degree-0 symmetric power
-        assert char(j, MU) == sym(0, j, MU) and char(j).dim == 1
+        assert Atom(0, j, MU).dim == Atom(0, j).dim == 1
     # characters keep their rank after the opaque labels in every listing
-    order = [PI, opaque("pi_chi"), char(1)]
+    order = [Atom(1), Atom(opaque_label="pi_chi"), Atom(0, 1)]
     assert [a for a, _ in VirtualRep.of(*reversed(order)).terms] == order
