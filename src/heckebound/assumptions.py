@@ -21,13 +21,16 @@ class TypeAssumption(namedtuple("TypeAssumption", "rep_type self_dual omega_orde
     For non-dihedral self-dual representations the central character is
     forced trivial; conversely a trivial central character forces
     self-duality (the contragredient is the omega^{-1} twist).  Both
-    constraints are validated at construction.
+    constraints are validated at construction.  omega_order defaults to
+    the least order they allow: 1 if self-dual, else 2.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
 
-    def __new__(cls, rep_type=RepType.GENERAL, self_dual=True, omega_order=1):
+    def __new__(cls, rep_type=RepType.GENERAL, self_dual=True, omega_order=None):
+        if omega_order is None:
+            omega_order = 1 if self_dual else 2
         if omega_order < 1:
             raise ParameterError("omega_order must be >= 1")
         if self_dual and rep_type is not RepType.DIHEDRAL and omega_order != 1:

@@ -59,20 +59,15 @@ def _cmd_decompose(args) -> int:
     elif args.k is not None:
         rep = repring.tensor_power(args.k)
         title = f"pi^⊗{args.k}"
-    elif args.atom is not None:
+    else:
         atom = repring.parse_atom(args.atom)
         rep = repring.reduce_atom(atom, TypeAssumption(RepType(args.type)))
         title = f"reduce({repring.atom_label(atom)}, {args.type})"
-    else:
-        raise DomainError("decompose needs one of --k, --pair, --atom")
     return _emit(args, rep.to_json(), f"{title} = {repring.rep_label(rep)}")
 
 
 def _cmd_poles(args) -> int:
-    omega_order = args.omega_order
-    if omega_order is None:
-        omega_order = 1 if args.self_dual else 2
-    assumption = TypeAssumption(RepType(args.type), args.self_dual, omega_order)
+    assumption = TypeAssumption(RepType(args.type), args.self_dual, args.omega_order)
     cert = poles.tensor_power_pole(args.k, assumption)
     return _emit(
         args,
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("decompose", help="tensor/symmetric power decompositions")
-    target = p.add_mutually_exclusive_group()
+    target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--k", type=int, help="decompose the k-th tensor power (1..4)")
     target.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="Sym^A x Sym^B")
     target.add_argument("--atom", type=str, help="reduce one atom, e.g. 'Sym3(pi)*w^-1'")

@@ -5,13 +5,14 @@ the opaque cuspidal pi_chi or its dual pi_chi_bar (degree 0), twisted by
 the central character w and the auxiliary order-3 character mu; a GL(1)
 character is Sym^0 so twisted.  Atom(degree, omega, aux, label) is the one
 way to build an atom: each field defaults (Atom() is the trivial character)
-and _make and _replace go through it.  VirtualRep is a formal integer
-combination of atoms.  The vocabulary and the Sym^3/Sym^4 reductions are
-fixed in read-only tables (AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the
-module holds no mutable state; every value is immutable and every operation
-pure, so the module is safe for unrestricted parallel use.  `dual` is the
-contragredient the pole ledger's one rule rests on.  One renderer spells
-atoms two ways: atom_text parses back, atom_label (and rep_label) display.
+and _make and _replace go through it.  VirtualRep(terms), a formal integer
+combination of atoms, is canonical by construction, _make and _replace too.
+The vocabulary and the Sym^3/Sym^4 reductions are fixed in read-only tables
+(AUX_ORDERS, OPAQUE_DUALS, REDUCTIONS), so the module holds no mutable
+state; every value is immutable and every operation pure, so the module is
+safe for unrestricted parallel use.  `dual` is the contragredient the pole
+ledger's one rule rests on.  One renderer spells atoms two ways: atom_text
+parses back, atom_label (and rep_label) display.
 """
 
 from __future__ import annotations
@@ -109,25 +110,24 @@ def dual(a: Atom) -> Atom:
 # Virtual representations
 
 
-class VirtualRep(namedtuple("VirtualRep", "terms", defaults=((),))):
-    """Formal integer combination of atoms: terms holds (atom, multiplicity)
-    pairs, kept in canonical order."""
+class VirtualRep(namedtuple("VirtualRep", "terms")):
+    """Formal integer combination of atoms: terms, given as any iterable of
+    (atom, multiplicity) pairs, is kept canonical (one pair per atom, no zero
+    multiplicity, sorted by Atom.sort_key)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__; _replace calls it
+
+    def __new__(cls, terms=()):
+        acc: dict[Atom, int] = {}
+        for atom, mult in terms:
+            acc[atom] = acc.get(atom, 0) + mult
+        ordered = sorted(acc.items(), key=lambda t: t[0].sort_key())
+        return super().__new__(cls, tuple((a, m) for a, m in ordered if m))
 
     @staticmethod
     def of(*atoms: Atom) -> "VirtualRep":
-        return VirtualRep.from_terms((a, 1) for a in atoms)
-
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple[Atom, int]]) -> "VirtualRep":
-        acc: dict[Atom, int] = {}
-        for atom, mult in pairs:
-            acc[atom] = acc.get(atom, 0) + mult
-        canon = tuple(
-            (a, m) for a, m in sorted(acc.items(), key=lambda t: t[0].sort_key()) if m
-        )
-        return VirtualRep(canon)
+        return VirtualRep((a, 1) for a in atoms)
 
     @property
     def dim(self) -> int:
@@ -148,7 +148,7 @@ def cg_pair(a: int, b: int) -> VirtualRep:
         raise AlgebraError("cg_pair needs non-negative degrees")
     if max(a, b) > PAIR_DEGREE_CAP:
         raise AlgebraError(f"cg_pair supports degrees up to {PAIR_DEGREE_CAP}, got {a} and {b}")
-    return VirtualRep.from_terms((Atom(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
+    return VirtualRep((Atom(a + b - 2 * j, j), 1) for j in range(min(a, b) + 1))
 
 
 def tensor_power(k: int) -> VirtualRep:
@@ -160,7 +160,7 @@ def tensor_power(k: int) -> VirtualRep:
             f"tensor_power supports 1 <= k <= 4, got {k}; higher powers are "
             "handled by pairing half powers"
         )
-    return VirtualRep.from_terms(
+    return VirtualRep(
         (Atom(k - 2 * j, j), math.comb(k, j) * (k - 2 * j + 1) // (k - j + 1))
         for j in range(k // 2 + 1)
     )
@@ -193,15 +193,13 @@ def reduce_atom(a: Atom, t: TypeAssumption) -> VirtualRep:
         raise AlgebraError(
             f"no reduction for Sym^{a.sym_degree} under the {t.rep_type.value} assumption"
         ) from None
-    return VirtualRep.from_terms((p.twist(a.omega_power, a.aux), m) for p, m in pieces.terms)
+    return VirtualRep((p.twist(a.omega_power, a.aux), m) for p, m in pieces.terms)
 
 
 def reduce_rep(v: VirtualRep, t: TypeAssumption) -> VirtualRep:
-    out: list[tuple[Atom, int]] = []
-    for atom, mult in v.terms:
-        for piece, m in reduce_atom(atom, t).terms:
-            out.append((piece, mult * m))
-    return VirtualRep.from_terms(out)
+    return VirtualRep(
+        (piece, mult * m) for atom, mult in v.terms for piece, m in reduce_atom(atom, t).terms
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ src/ on:
 - verify --json (t1pos, t1neg, and t2 at phi = 0.785) and probe --json
   (k = 2, 4) on 11a1 to 10^3, tau to 100 and Sato-Tate n = 200, files that the
   interpreter running this script generates (generating needs numpy, reading
-  does not), and the refusals generate --kind st --n 0 and poles --bogus, each
-  compared with the stdout and exit code of the interpreter running this script.
+  does not), and the refusals generate --kind st --n 0, poles --bogus and a
+  bare decompose, each compared with the stdout and exit code of the
+  interpreter running this script.
 One line per interpreter; exit 1 on any mismatch.
 """
 
@@ -41,7 +42,7 @@ def main(pythons: list[str]) -> int:
         print(f"usage: {sys.argv[0]} PYTHON [PYTHON ...]", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        calls = [["generate", "--kind", "st", "--n", "0"], ["poles", "--bogus"]]
+        calls = [["generate", "--kind", "st", "--n", "0"], ["poles", "--bogus"], ["decompose"]]
         for name, argv in DATASETS.items():
             path = os.path.join(tmp, f"{name}.csv")
             if cli(sys.executable, ["generate", *argv, "--out", path])[0] != 0:

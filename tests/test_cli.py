@@ -128,9 +128,12 @@ def test_dihedral_refusal_names_the_atom_vocabulary(capsys, argv):
 
 
 def test_decompose_requires_a_target(capsys):
-    code, _, err = run(capsys, "decompose")
-    assert code == 1
-    assert "error" in err
+    # a usage error, like poles without --k
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "error: one of the arguments --k --pair --atom is required" in err
 
 
 def test_missing_subcommand_exits_two(capsys):

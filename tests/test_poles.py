@@ -47,6 +47,13 @@ def test_dihedral_self_dual_may_keep_omega():
     TypeAssumption(RepType.DIHEDRAL, True, 2)
 
 
+def test_omega_order_defaults_to_the_least_allowed():
+    # 1 if self-dual, else 2, as `poles` without --omega-order
+    assert TypeAssumption(RepType.GENERAL, False) == TypeAssumption(RepType.GENERAL, False, 2) == NSD
+    assert TypeAssumption(RepType.DIHEDRAL, True).omega_order == 1
+    assert TypeAssumption(RepType.OCTAHEDRAL) == TypeAssumption(RepType.OCTAHEDRAL, True, 1)
+
+
 # ---------------------------------------------------------------------------
 # rs_pole_order
 
@@ -87,7 +94,7 @@ def test_rs_symmetry():
 
 def test_rs_bilinearity():
     a1, a2, b = VirtualRep.of(Atom(2)), VirtualRep.of(Atom(1)), tensor_power(2)
-    joint = rs_pole_order(VirtualRep.from_terms(a1.terms + a2.terms), b, GENERAL_SELF_DUAL).total_order
+    joint = rs_pole_order(VirtualRep(a1.terms + a2.terms), b, GENERAL_SELF_DUAL).total_order
     split = (
         rs_pole_order(a1, b, GENERAL_SELF_DUAL).total_order
         + rs_pole_order(a2, b, GENERAL_SELF_DUAL).total_order

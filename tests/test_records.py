@@ -185,6 +185,9 @@ def test_records_replace_and_make_build_through_the_checks():
     two = Records([2, 3], [0.5, 0.5])._replace(a_re=[0.1, 0.2])
     assert two == Records([2, 3], [0.1, 0.2]) and two.a_re.readonly
     assert Atom(1, 0, MU)._replace(aux=(("mu", 4),)) == Atom(1, 0, MU)  # aux stays canonical
+    two_pi = VirtualRep.of(Atom(1), Atom(1))  # terms stay canonical: one pair per atom, none zero
+    assert VirtualRep(((Atom(1), 0), (Atom(1), 2))) == two_pi
+    assert VirtualRep.of(Atom(2))._replace(terms=((Atom(1), 1), (Atom(1), 1))) == two_pi
     nsd_needs_omega = "a trivial central character forces self-duality; non-self-dual assumptions need omega_order >= 2"
     unsorted = "records must be sorted strictly increasing in p >= 2"
     refused = [
