@@ -18,7 +18,9 @@ keys are ignored, except that a normalization other than `unitary` is rejected.
 read_csv and loads_csv share one reader over UTF-8 bytes, its lines ended at a
 newline alone (text mode folds '\r\n' and '\r'): a per-row loop that parses each
 row, then one check of primality and the model's rules on its columns; a fault
-at any row is named at its line.
+at any row is named at its line.  An input of CACHE_MIN_BYTES or more keeps its
+columns in <$XDG_CACHE_HOME or ~/.cache>/heckebound under its SHA-256 for later
+reads, CACHE_ENTRIES at most; deleting it clears them; `generate` writes none.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
@@ -46,6 +49,8 @@ CURVE_11A1 = (-13392, -1080432)
 TAU_MODULI = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)  # primes; see tau_coefficients
 CSV_BLOCK = 2048  # rows formatted at a time, so no per-row list spans the file
 READ_BYTES = 1 << 16  # bytes of rows decoded at a time, so no list of lines spans the file
+CACHE_MIN_BYTES = 1 << 20  # the smallest input whose columns the reader caches
+CACHE_ENTRIES = 8  # cached datasets kept, the newest by mtime
 EC_BLOCK = 512  # primes counted together by _ec_trace_batch, so its tables stay small
 SEED_MODULUS = 2**64 - 59  # the largest prime below 2^64; any int seed folds to its residue
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -458,8 +463,8 @@ def csv_chunks(dataset: Dataset):
 
 
 def read_csv(path: str | Path) -> Dataset:
-    """loads_csv on a file read as bytes once."""
-    return _load(Path(path).read_bytes)
+    """loads_csv on a file read as bytes, once unless it is a regular file with a bad cache entry."""
+    return _load(Path(path).read_bytes, os.path.isfile(path))
 
 
 def loads_csv(text: str) -> Dataset:
@@ -545,9 +550,59 @@ def _head(data: bytes) -> tuple[DatasetHeader, list[str]]:
         raise DatasetFormatError(str(exc), line=1) from None
 
 
-def _load(read) -> Dataset:
-    """The dataset in the UTF-8 CSV bytes that read() returns, lines ended as text mode ends
-    them, each fault at a row named at its line; the bytes go before the checks of the columns."""
+def _checked(header: DatasetHeader, p, a_re, a_im, raw) -> Dataset:
+    """The dataset over parsed or cached columns, after the checks every read makes of them."""
+    top = max(p, default=2)
+    if top > MAX_P:  # before the sieve is sized; only a cached p can be, for the loop checks each p it parses
+        raise DatasetError(f"p = {top} is outside 2..{MAX_P}", row=p.index(top))
+    sieve = _sieve(top)
+    composite = next(itertools.filterfalse(sieve.__getitem__, p), None)
+    if composite is not None:  # its first row, for a composite met before is met first
+        raise DatasetError(f"p = {composite} is not prime", row=p.index(composite))
+    return Dataset(header, Records._adopt(p, a_re, a_im, raw))
+
+
+def _cache_get(data: bytes, lookup: bool):
+    """data's cache entry (None under CACHE_MIN_BYTES or with no home) and, if lookup, its unchecked columns
+    or None: int64 n <= ST_N_CAP and the length of a_raw's text, n int64 p, n float64 a_re, a_im, the text."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    root = root if os.path.isabs(root) else os.path.expanduser("~/.cache")  # left as is with no home
+    if len(data) < CACHE_MIN_BYTES or not os.path.isabs(root):
+        return None, None
+    import hashlib  # here, so that only a large read pays for its import
+
+    entry = Path(root, "heckebound", f"{hashlib.sha256(data).hexdigest()}-{sys.byteorder}-v1.cols")
+    head, *cols = array("q"), array("q"), array("d"), array("d")
+    with contextlib.suppress(OSError, EOFError, ValueError), entry.open("rb") as f:
+        head.fromfile(f, 2)
+        if lookup and 0 <= head[0] <= ST_N_CAP:  # pi(MAX_P) = ST_N_CAP rows bound any valid file
+            for column in cols:
+                column.fromfile(f, head[0])
+            raw = f.read()
+            if len(raw) == head[1]:  # else the entry is short
+                os.utime(entry)  # the newest entries are kept
+                return entry, (*cols, tuple(map(int, raw.split())) or None)
+    return entry, None
+
+
+def _cache_put(entry: Path, r: Records) -> None:
+    """Write r to entry through a temporary file, first deleting all but the CACHE_ENTRIES - 1 newest there."""
+    import tempfile
+
+    text = " ".join(map(str, r.a_raw or ())).encode()
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        for path in sorted(entry.parent.iterdir(), key=lambda path: -path.stat().st_mtime)[CACHE_ENTRIES - 1 :]:
+            path.unlink()  # before the write, so that one that fails leaves no more files
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        with os.fdopen(fd, "wb") as f:
+            f.writelines([array("q", [len(r), len(text)]), *r[:3], text])
+        os.replace(tmp, entry)
+
+
+def _load(read, lookup: bool = True) -> Dataset:
+    """The dataset in the UTF-8 CSV bytes read() returns, lines ended as text mode ends them, each fault at a
+    row named at its line; the bytes go before the checks of parsed or cached columns (a bad entry reads again)."""
     data = read()  # a local, not an argument a caller's frame holds, so that it can go
     if b"\r" in data:  # as text mode reads it, so that a line ends at b"\n" alone
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -556,15 +611,20 @@ def _load(read) -> Dataset:
         _text(data)
     start = data.find(b"\n") + 1 or len(data)
     header, _ = _head(data[:start])
+    entry, columns = _cache_get(data, lookup)
+    if columns:
+        del data
+        with contextlib.suppress(DatasetError, IndexError):  # IndexError: a cached p below -len(sieve)
+            return _checked(header, *columns)
+        return _load(read, lookup=False)
     blank = []  # the number of rows before each blank line, in order
     try:
         # once over the rows, so that a clean text skips the per-row test
         p, a_re, a_im, raw = _loads_rows(data, start, not plain or data.find(b"_", start) >= 0, blank)
         del data  # the columns are all that is left of the text
-        sieve = _sieve(max(p, default=2))
-        composite = next(itertools.filterfalse(sieve.__getitem__, p), None)
-        if composite is not None:  # its first row, for a composite met before is met first
-            raise DatasetError(f"p = {composite} is not prime", row=p.index(composite))
-        return Dataset(header, Records._adopt(p, a_re, a_im, raw))
+        dataset = _checked(header, p, a_re, a_im, raw)
     except DatasetError as exc:  # each fault names its row, and the blank lines before it move its line
         raise DatasetFormatError(str(exc), line=exc.row + 2 + bisect_right(blank, exc.row)) from None
+    if entry:
+        _cache_put(entry, dataset.records)
+    return dataset

@@ -11,6 +11,15 @@ DESK_X = 10_000
 _timings = {}
 
 
+@pytest.fixture(scope="session", autouse=True)
+def dataset_cache(tmp_path_factory):
+    """Keeps the reader's column cache in a directory of this session, not the user's home; CLI
+    processes that tests start inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def ec_11a1():
     start = time.perf_counter()

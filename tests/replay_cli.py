@@ -12,7 +12,8 @@ src/ on:
   does not), and the refusals generate --kind st --n 0, poles --bogus and a
   bare decompose, each compared with the stdout and exit code of the
   interpreter running this script.
-One line per interpreter; exit 1 on any mismatch.
+One line per interpreter; exit 1 on any mismatch.  Every file it reads is below
+the reader's CACHE_MIN_BYTES, so no call reads or writes the column cache.
 """
 
 import json

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ def run(capsys, *argv):
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
-# the environment of a CLI process that imports this checkout's package
-CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+# the environment of a CLI process that imports this checkout's package: a view of
+# os.environ, so a variable that a fixture sets (XDG_CACHE_HOME) reaches the process
+CLI_ENV = ChainMap({"PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}, os.environ)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 

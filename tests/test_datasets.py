@@ -2,11 +2,15 @@ import functools
 import hashlib
 import math
 import os
+import pwd
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from array import array
+from collections import ChainMap
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heckebound import datasets
 from heckebound.cli import main
 from heckebound.datasets import (
+    CACHE_ENTRIES,
+    CACHE_MIN_BYTES,
     CSV_BLOCK,
     CURVE_11A1,
     EC_BLOCK,
@@ -44,8 +50,9 @@ from csv_oracle import oracle
 from eta import eta_quotient
 
 SRC = str(Path(datasets.__file__).resolve().parents[1])
-# the environment of a CLI process that imports this checkout's package
-CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+# the environment of a CLI process that imports this checkout's package: a view of
+# os.environ, so a variable that a fixture sets (XDG_CACHE_HOME) reaches the process
+CLI_ENV = ChainMap({"PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}, os.environ)
 
 # ---------------------------------------------------------------------------
 # primes
@@ -1172,13 +1179,18 @@ def test_read_csv_holds_one_copy_of_the_file(tmp_path):
     assert peak < 3 * path.stat().st_size
 
 
-def test_read_csv_holds_the_file_and_its_columns(tmp_path, st_100k):
+@pytest.mark.parametrize("hit", [False, True], ids=["miss", "hit"])
+def test_read_csv_holds_the_file_and_its_columns(tmp_path, st_100k, cache, hit):
     # the reader holds the file's bytes, its three columns and one block of
     # lines, near 1.9 times the file; the whole file's lines beside the bytes
-    # would take it past 4
+    # would take it past 4.  A miss writes the cache entry from the columns,
+    # and a hit drops the bytes before it loads them
     path = tmp_path / "st.csv"
     write_csv(path, st_100k)
-    read_csv(path)  # lazy imports and caches come before the count
+    read_csv(path)  # lazy imports and caches come before the count; this read writes the entry
+    if not hit:
+        (entry,) = cache.iterdir()
+        entry.unlink()
     tracemalloc.start()
     try:
         read_csv(path)
@@ -1476,3 +1488,248 @@ def test_malformed_header_item_names_its_line():
 def test_unsorted_records_rejected():
     with pytest.raises(DatasetError):
         Dataset(DatasetHeader("x", True, 10), Records([5, 3], [0.1, 0.2]))
+
+
+# ---------------------------------------------------------------------------
+# column cache
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """This test's own cache directory, not yet made."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "heckebound"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of passes of the per-row loop so far, as a one-item list."""
+    count, loop = [0], datasets._loads_rows
+
+    def counted(*args):
+        count[0] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(datasets, "_loads_rows", counted)
+    return count
+
+
+def big_text(source="big", newline="\n", raw=False, blanks=()):
+    """A CSV text of CACHE_MIN_BYTES or more: 45,000 primes whose a_re and a_im run
+    through signed zeros, subnormals and doubles next to +-2, with blanks as lines
+    among the rows, and exact integers a_raw if raw."""
+    ps = first_n_primes(45_000)
+    values = [-0.0, 5e-324, -2.5e-310, 0.0, 1.9999999999999998, -1.9999999999999998, 0.1]
+    rows = [f"{p},{values[i % 7]!r},{values[i % 5]!r}" + (f",{(-1) ** i * p ** 5}" if raw else "") for i, p in enumerate(ps)]
+    rows[1000:1000] = blanks
+    text = newline.join([f"# source={source},self_dual=false,X={ps[-1]}", *rows, ""])
+    assert len(text.encode("utf-8")) >= CACHE_MIN_BYTES
+    return text
+
+
+def columns(dataset):
+    """dataset as the CSV oracle gives it: the header, the bytes of each array column, a_raw."""
+    r = dataset.records
+    return dataset.header, bytes(r.p), bytes(r.a_re), bytes(r.a_im), r.a_raw
+
+
+def entry_name(data: bytes) -> str:
+    return f"{hashlib.sha256(data).hexdigest()}-{sys.byteorder}-v1.cols"
+
+
+def spoil(entry: bytes, how: str) -> bytes:
+    """A cache entry's bytes damaged as how names; "" rebuilds them unchanged."""
+    head = array("q", entry[:16])
+    n = head[0]
+    p, a_re, a_im = (array(code, entry[16 + 8 * n * i : 16 + 8 * n * (i + 1)]) for i, code in enumerate("qdd"))
+    text = entry[16 + 24 * n :]
+    if how == "short":
+        return entry[:-1]
+    if how == "rows":  # pi(MAX_P) = ST_N_CAP rows bound any valid file
+        head[0] = ST_N_CAP + 1
+    elif how == "huge rows":  # columns that cannot be read
+        head[0] = 2**60
+    elif how == "range":  # a sieve to 2^62 cannot be made
+        p[-1] = 2**62
+    elif how == "negative":  # an index before the start of any sieve
+        p[1] = -(2**40)
+    elif how == "composite":
+        p[1] = 4
+    elif how == "order":
+        p[1], p[2] = p[2], p[1]
+    elif how == "nan":
+        a_re[7] = math.nan
+    elif how == "x":  # the prime after the header's X
+        p[-1] = first_n_primes(n + 1)[-1]
+    elif how == "raw":
+        text = b"x" + text[1:]
+    elif how == "byteorder":
+        for column in (head, p, a_re, a_im):
+            column.byteswap()
+    return b"".join(c.tobytes() for c in (head, p, a_re, a_im)) + text
+
+
+@pytest.mark.parametrize(
+    "newline, raw, blanks",
+    [("\n", False, ()), ("\r\n", False, ("", "\u3000\u00a0")), ("\n", True, ("", " "))],
+    ids=["lf", "crlf-blank-lines", "raw-column"],
+)
+def test_a_cache_hit_gives_the_parsed_dataset(tmp_path, cache, parses, newline, raw, blanks):
+    # the same header and the same bytes in every column, -0.0 and subnormals
+    # included, whether the rows are parsed or loaded from the entry
+    text = big_text(newline=newline, raw=raw, blanks=blanks)
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.encode("utf-8"))
+    miss = read_csv(path)
+    assert parses == [1]
+    hit = read_csv(path)
+    assert parses == [1]
+    assert columns(hit) == columns(miss) == oracle(text)
+    assert columns(loads_csv(text)) == oracle(text)  # the same bytes find the same entry
+    assert parses == [1]
+
+
+def test_the_cache_entry_is_named_by_the_bytes(tmp_path, cache):
+    text = big_text()
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.encode("utf-8"))
+    read_csv(path)
+    assert [entry.name for entry in cache.iterdir()] == [entry_name(text.encode("utf-8"))]
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--theorem", "t1pos", "--json"], ["probe", "--k", "4", "--json"]], ids=["verify", "probe"]
+)
+def test_cli_prints_the_same_bytes_on_a_miss_and_a_hit(tmp_path, capsys, cache, parses, st_100k, argv):
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)
+    outputs = []
+    for _ in range(2):
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+        outputs.append(capsys.readouterr())
+    assert parses == [1]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
+@pytest.mark.parametrize(
+    "how", ["short", "rows", "huge rows", "range", "negative", "composite", "order", "nan", "x", "raw", "byteorder"]
+)
+def test_a_bad_cache_entry_is_passed_over(tmp_path, cache, parses, how):
+    # the cache is an input boundary: an entry that fails to load or to pass
+    # the reader's checks is ignored, the file parsed and the entry written anew
+    text = big_text(raw=True)
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = columns(read_csv(path))
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    assert spoil(good, "") == good
+    entry.write_bytes(spoil(good, how))
+    assert columns(read_csv(path)) == expected
+    assert parses == [2]
+    assert entry.read_bytes() == good
+
+
+def test_a_piped_file_reads_no_cache_entry(tmp_path, cache, st_100k):
+    # a pipe cannot be read twice, so an entry that failed would leave nothing to parse
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)
+    argv = [sys.executable, "-m", "heckebound.cli", "verify", "--theorem", "t1pos", "--json", "--input"]
+    expected = subprocess.run([*argv, str(path)], env=CLI_ENV, capture_output=True, check=True).stdout
+    (entry,) = cache.iterdir()
+    entry.write_bytes(spoil(entry.read_bytes(), "nan"))
+    piped = subprocess.run([*argv, "/dev/stdin"], input=path.read_bytes(), env=CLI_ENV, capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, b"")
+
+
+def refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("where", ["read-only", "no home", "relative"])
+def test_a_cache_it_cannot_use_leaves_the_read_as_it_was(tmp_path, monkeypatch, capsys, cache, st_100k, where):
+    path = tmp_path / "st.csv"
+    write_csv(path, st_100k)
+    argv = ["verify", "--input", str(path), "--theorem", "t1pos", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    shutil.rmtree(cache)
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if where == "read-only":
+        cache.mkdir(mode=0o500)
+        if os.geteuid() == 0:  # root passes the mode bits; refuse the file as the kernel does any other user
+            monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    elif where == "no home":
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(pwd, "getpwuid", lambda uid: {}[uid])  # no entry in the password database
+    else:  # a relative XDG_CACHE_HOME is ignored for ~/.cache
+        monkeypatch.setenv("XDG_CACHE_HOME", "xdg")
+        monkeypatch.setenv("HOME", str(home))
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert list(cwd.iterdir()) == []
+    if where == "read-only":
+        assert list(cache.iterdir()) == []
+    if where == "relative":
+        assert [entry.name for entry in (home / ".cache" / "heckebound").iterdir()] == [entry_name(path.read_bytes())]
+    else:
+        assert not home.exists()
+
+
+def test_a_file_below_the_threshold_writes_no_entry(tmp_path, cache):
+    text = big_text()
+    body = text[: text.rindex("\n", 0, CACHE_MIN_BYTES - 100) + 1]
+    under = body + " " * (CACHE_MIN_BYTES - 2 - len(body)) + "\n"  # a blank line pads it to one byte short
+    path = tmp_path / "big.csv"
+    path.write_text(under, encoding="ascii")
+    assert path.stat().st_size == CACHE_MIN_BYTES - 1
+    assert columns(read_csv(path)) == oracle(under)
+    assert not cache.exists()
+    path.write_text(under + "\n", encoding="ascii")
+    assert columns(read_csv(path)) == oracle(under)
+    assert len(list(cache.iterdir())) == 1
+
+
+@pytest.mark.parametrize("row, message", [("4,0.1,0.0", "p = 4 is not prime"), ("seven,0.1,0.0", "invalid literal")])
+def test_a_file_that_fails_writes_no_entry(tmp_path, cache, row, message):
+    lines = big_text().split("\n")
+    lines[30_000] = row
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines), encoding="ascii")
+    for _ in range(2):
+        with pytest.raises(DatasetFormatError, match=f"^line 30001: {message}"):
+            read_csv(path)
+    assert not cache.exists()
+
+
+def test_the_cache_keeps_the_newest_entries(tmp_path, cache):
+    # each write deletes the oldest by mtime, and a hit makes its entry the newest
+    names = []
+    for i in range(CACHE_ENTRIES + 3):
+        data = big_text(f"big{i}").encode("ascii")
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(data)
+        read_csv(path)
+        names.append(entry_name(data))
+        os.utime(cache / names[-1], (i, i))  # distinct mtimes, whatever the clock's grain
+        if i == CACHE_ENTRIES + 1:
+            read_csv(tmp_path / "2.csv")  # a hit: the oldest entry is now the newest
+        assert len(list(cache.iterdir())) == min(i + 1, CACHE_ENTRIES)
+    kept = {names[2], *names[-(CACHE_ENTRIES - 1) :]}
+    assert {entry.name for entry in cache.iterdir()} == kept
+
+
+def test_generate_writes_no_cache_and_loads_no_hashlib(tmp_path, cache):
+    # hashlib loads OpenSSL, several MB of resident memory in the process that sets peak_rss_mb
+    code = (
+        "import sys; from heckebound.cli import main; "
+        "main(['generate', '--kind', 'st', '--n', '100000', '--out', sys.argv[1]]); sys.exit('_hashlib' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code, str(tmp_path / "st.csv")], env=CLI_ENV).returncode == 0
+    assert (tmp_path / "st.csv").stat().st_size >= CACHE_MIN_BYTES
+    assert not cache.parent.exists()
